@@ -134,7 +134,7 @@ fn offline_probe(ops: u64, maintain: bool) -> (u64, u64, u64, u64) {
     }
     let state = p.snapshot();
     let media = state.records().len() as u64;
-    let (fresh, fsck) = IBridgePolicy::recover_with_report(cfg, &state, false);
+    let (fresh, fsck) = IBridgePolicy::recover_with_report(cfg, &state);
     assert_eq!(
         fsck.dirty_entries_kept, LIVE_ENTRIES,
         "every live overwrite survives recovery"
@@ -237,7 +237,7 @@ pub fn run(scale: &Scale) -> String {
          (busy)' counts the stand-asides). Sealed segments whose live \
          share drops below half are compacted into fresh appends; \
          condemned media is reclaimed one barrier later; an indexed \
-         checkpoint serializes the mapping table every 96 appends so a \
+         checkpoint serializes the dirty entries every 96 appends so a \
          restart replays the image plus the short tail and skips every \
          covered record unverified. The offline table pins the O(dirty) \
          claim: at a fixed live set, 'ckpt-replayed' + 'tail-verified' \

@@ -52,12 +52,10 @@ pub enum AppendError {
 pub struct CircularLog {
     capacity: u64,
     head: Lbn,
-    /// Live regions, keyed by start sector. Non-overlapping.
+    /// Live regions, keyed by start sector. Non-overlapping. An entry
+    /// holds one region, or two when its append wrapped: the piece
+    /// ending at `capacity` and the piece at lbn 0 (its *wrap partner*).
     residents: BTreeMap<Lbn, Resident>,
-    /// Regions owned by each entry (1 extent, or 2 when wrapped), so
-    /// eviction removes exactly its own regions instead of scanning the
-    /// whole resident map.
-    owned: ibridge_des::fxhash::FxHashMap<EntryId, ExtentList>,
     /// Entries whose regions must not be overwritten (dirty/in-flight).
     protected: ibridge_des::fxhash::FxHashSet<EntryId>,
 }
@@ -70,34 +68,43 @@ impl CircularLog {
             capacity: capacity_sectors,
             head: 0,
             residents: BTreeMap::new(),
-            owned: Default::default(),
             protected: Default::default(),
         }
     }
 
-    /// Drops every region owned by `entry` from the resident map.
-    fn drop_owned(&mut self, entry: EntryId) {
-        if let Some(extents) = self.owned.remove(&entry) {
-            for e in &extents {
-                let removed = self.residents.remove(&e.lbn);
-                debug_assert_eq!(
-                    removed,
-                    Some(Resident {
-                        sectors: e.sectors,
-                        entry
-                    })
-                );
-            }
+    /// Drops `entry`'s region starting at `lbn`, and its wrap partner
+    /// when that region is one piece of a wrapped append: a piece at
+    /// lbn 0 pairs with the resident ending at `capacity`, and a piece
+    /// ending at `capacity` pairs with the resident at lbn 0. Both are
+    /// found in O(log n), so eviction never scans the resident map. A
+    /// region already gone (the partner of a casualty dropped earlier
+    /// in the same append) is a no-op.
+    fn drop_at(&mut self, lbn: Lbn, entry: EntryId) {
+        let Some(r) = self.residents.remove(&lbn) else {
+            return;
+        };
+        debug_assert_eq!(r.entry, entry, "region at {lbn} belongs to another entry");
+        let partner = if lbn == 0 {
+            self.residents
+                .last_key_value()
+                .filter(|(&s, p)| s + p.sectors == self.capacity && p.entry == entry)
+                .map(|(&s, _)| s)
+        } else if lbn + r.sectors == self.capacity {
+            self.residents
+                .get(&0)
+                .filter(|p| p.entry == entry)
+                .map(|_| 0)
+        } else {
+            None
+        };
+        if let Some(p) = partner {
+            self.residents.remove(&p);
         }
     }
 
-    /// Registers `start..start+sectors` as owned by `entry`.
+    /// Registers `start..start+sectors` as held by `entry`.
     fn claim(&mut self, start: Lbn, sectors: u64, entry: EntryId) {
         self.residents.insert(start, Resident { sectors, entry });
-        self.owned.entry(entry).or_default().push(Extent {
-            lbn: start,
-            sectors,
-        });
     }
 
     /// Log capacity in sectors.
@@ -121,20 +128,22 @@ impl CircularLog {
         self.protected.remove(&entry);
     }
 
-    /// Removes an entry's residency (logical eviction). The space
-    /// becomes stale and is reclaimed when the head next passes it.
-    pub fn evict(&mut self, entry: EntryId) {
-        self.drop_owned(entry);
+    /// Removes an entry's residency (logical eviction). `first_lbn` is
+    /// the start of the entry's first extent (`extents[0].lbn`); a
+    /// wrapped entry's second piece goes with it. The space becomes
+    /// stale and is reclaimed when the head next passes it.
+    pub fn evict(&mut self, entry: EntryId, first_lbn: Lbn) {
+        self.drop_at(first_lbn, entry);
         self.protected.remove(&entry);
     }
 
     /// Walks the residents intersecting `[start, start+len)` (no wrap),
-    /// collecting casualties; fails on a protected one.
+    /// collecting casualties as `(lbn, entry)`; fails on a protected one.
     fn check_piece(
         &self,
         start: Lbn,
         len: u64,
-        casualties: &mut Vec<EntryId>,
+        casualties: &mut Vec<(Lbn, EntryId)>,
     ) -> Result<(), AppendError> {
         let end = start + len;
         // A resident starting before `start` may still reach into it.
@@ -143,14 +152,14 @@ impl CircularLog {
                 if self.protected.contains(&r.entry) {
                     return Err(AppendError::BlockedByDirty);
                 }
-                casualties.push(r.entry);
+                casualties.push((s, r.entry));
             }
         }
-        for (_, &r) in self.residents.range(start..end) {
+        for (&s, &r) in self.residents.range(start..end) {
             if self.protected.contains(&r.entry) {
                 return Err(AppendError::BlockedByDirty);
             }
-            casualties.push(r.entry);
+            casualties.push((s, r.entry));
         }
         Ok(())
     }
@@ -196,19 +205,21 @@ impl CircularLog {
         for e in &extents {
             self.check_piece(e.lbn, e.sectors, &mut casualties)?;
         }
-        casualties.sort_unstable();
-        casualties.dedup();
         // Evict the casualties entirely (their whole region goes stale —
-        // a partially overwritten entry is useless).
-        for id in &casualties {
-            self.drop_owned(*id);
+        // a partially overwritten entry is useless), each at the lbn the
+        // walk found it; a wrapped casualty's other piece goes with it.
+        for &(lbn, id) in &casualties {
+            self.drop_at(lbn, id);
         }
         // Claim the space.
         for e in &extents {
             self.claim(e.lbn, e.sectors, entry);
         }
         self.head = (self.head + sectors) % self.capacity;
-        Ok((extents, casualties))
+        let mut ids: Vec<EntryId> = casualties.into_iter().map(|(_, id)| id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        Ok((extents, ids))
     }
 
     /// Appends `data_sectors` of payload plus `header_sectors` for the
@@ -317,7 +328,7 @@ mod tests {
     fn wrap_splits_into_two_extents() {
         let mut log = CircularLog::new(100);
         log.append(80, 1).unwrap();
-        log.evict(1);
+        log.evict(1, 0);
         let (ext, _) = log.append(40, 2).unwrap();
         assert_eq!(
             ext,
@@ -371,7 +382,7 @@ mod tests {
         let mut log = CircularLog::new(100);
         log.append(60, 1).unwrap();
         assert_eq!(log.resident_sectors(), 60);
-        log.evict(1);
+        log.evict(1, 0);
         assert_eq!(log.resident_sectors(), 0);
     }
 
@@ -408,7 +419,7 @@ mod tests {
     fn append_with_header_trims_across_a_wrap() {
         let mut log = CircularLog::new(100);
         log.append(98, 1).unwrap();
-        log.evict(1);
+        log.evict(1, 0);
         // 1 data sector lands at 98; the 2-sector header spans the wrap
         // ([99,100) + [0,1)) and is trimmed entirely from the extents.
         let (data, _) = log.append_with_header(1, 2, 2).unwrap();
@@ -431,5 +442,89 @@ mod tests {
         // Appending again overwrites entry 1 (clean).
         let (_, evicted) = log.append(10, 2).unwrap();
         assert_eq!(evicted, vec![1]);
+    }
+
+    #[test]
+    fn evicting_a_wrapped_entry_removes_both_pieces() {
+        let mut log = CircularLog::new(100);
+        log.append(80, 1).unwrap();
+        log.evict(1, 0);
+        let (ext, _) = log.append(40, 2).unwrap(); // [80,100) + [0,20)
+        assert_eq!(ext.len(), 2);
+        log.append(30, 3).unwrap(); // [20,50)
+        log.evict(2, ext[0].lbn);
+        assert_eq!(log.resident_sectors(), 30, "both pieces of 2 gone, 3 kept");
+        // An unwrapped entry ending at `capacity` has no partner: the
+        // resident at lbn 0 belongs to someone else and stays.
+        let mut log = CircularLog::new(100);
+        log.append(50, 1).unwrap(); // [0,50)
+        log.append(50, 2).unwrap(); // [50,100)
+        log.evict(2, 50);
+        assert_eq!(log.resident_sectors(), 50);
+    }
+
+    #[test]
+    fn header_only_wrap_is_fully_evicted() {
+        let mut log = CircularLog::new(100);
+        log.append(90, 1).unwrap();
+        log.evict(1, 0);
+        // The data fills [90,100) exactly; the header lands at lbn 0.
+        let (data, _) = log.append_with_header(10, 1, 2).unwrap();
+        assert_eq!(
+            data,
+            ExtentList::one(Extent {
+                lbn: 90,
+                sectors: 10
+            })
+        );
+        assert_eq!(log.resident_sectors(), 11);
+        log.evict(2, data[0].lbn);
+        assert_eq!(log.resident_sectors(), 0, "the header piece went too");
+    }
+
+    #[test]
+    fn hitting_a_casualtys_lbn0_piece_drops_its_tail_piece() {
+        let mut log = CircularLog::new(100);
+        log.append(80, 1).unwrap();
+        log.evict(1, 0);
+        // Entry 2 wraps: [80,100) + [0,20). Recovery may put the head
+        // anywhere: restart it at 0 so the walk meets entry 2 only at
+        // its lbn-0 piece.
+        log.append(40, 2).unwrap();
+        log.set_head(0);
+        let (_, evicted) = log.append(10, 3).unwrap();
+        assert_eq!(evicted, vec![2]);
+        assert_eq!(log.resident_sectors(), 10, "the [80,100) piece went too");
+        assert_eq!(log.resident_extents().collect::<Vec<_>>(), vec![(3, 10)]);
+    }
+
+    #[test]
+    fn entries_restored_through_reserve_at_evict_cleanly() {
+        let mut log = CircularLog::new(100);
+        let wrapped = [
+            Extent {
+                lbn: 95,
+                sectors: 5,
+            },
+            Extent { lbn: 0, sectors: 3 },
+        ];
+        let single = [Extent {
+            lbn: 10,
+            sectors: 4,
+        }];
+        log.reserve_at(&wrapped, 7).unwrap();
+        log.reserve_at(&single, 8).unwrap();
+        log.protect(7);
+        log.evict(7, 95);
+        assert!(!log.is_protected(7));
+        assert_eq!(log.resident_extents().collect::<Vec<_>>(), vec![(8, 4)]);
+        log.evict(8, 10);
+        assert_eq!(log.resident_sectors(), 0);
+        // A restored wrapped entry met as a casualty goes whole, too.
+        log.reserve_at(&wrapped, 9).unwrap();
+        log.set_head(90);
+        let (_, evicted) = log.append(8, 10).unwrap(); // [90,98)
+        assert_eq!(evicted, vec![9]);
+        assert_eq!(log.resident_sectors(), 8);
     }
 }

@@ -227,10 +227,16 @@ impl IBridgePolicy {
     }
 
     fn drop_entry(&mut self, id: EntryId) {
-        if let Some(e) = self.table.remove(id) {
-            self.log.evict(id);
-            self.retire_record(e.pending, e.log_seq);
+        if let Some(e) = self.forget(id) {
+            self.retire_record(&e);
         }
+    }
+
+    /// Removes an entry from the table and its regions from the log.
+    fn forget(&mut self, id: EntryId) -> Option<Entry> {
+        let e = self.table.remove(id)?;
+        self.log.evict(id, e.extents[0].lbn);
+        Some(e)
     }
 
     /// Sectors the on-SSD backup record costs per appended entry. The
@@ -273,14 +279,21 @@ impl IBridgePolicy {
     /// Retires a dropped entry's backup record: marks it dead for the
     /// compactor and appends a tombstone so recovery never resurrects
     /// it. Pending entries have no durable record to retire.
-    fn retire_record(&mut self, pending: bool, log_seq: u64) {
-        if pending || !self.enabled() {
+    ///
+    /// The tombstone names the entry, not the record: an entry's older
+    /// copies can outlive its newest one on media. A dirty copy in the
+    /// checkpoint image stays there after a flush supersedes it, and
+    /// the clean superseding record can be compacted away once the
+    /// entry drops; a tombstone keyed by that record's sequence number
+    /// would then let the stale dirty copy replay.
+    fn retire_record(&mut self, e: &Entry) {
+        if e.pending || !self.enabled() {
             return;
         }
-        self.backup.kill(log_seq);
+        self.backup.kill(e.log_seq);
         self.backup_append(LogRecord {
             seq: 0,
-            entry: log_seq, // the sequence number being killed
+            entry: e.id, // the entry being retired
             file: FileHandle(0),
             offset: 0,
             len: 0,
@@ -311,7 +324,7 @@ impl IBridgePolicy {
                 for c in casualties {
                     if let Some(e) = self.table.remove(c) {
                         self.stats.evictions += 1;
-                        self.retire_record(e.pending, e.log_seq);
+                        self.retire_record(&e);
                     }
                 }
                 Some((id, extents))
@@ -339,15 +352,14 @@ impl IBridgePolicy {
 }
 
 /// Durable cache state, as written to the on-SSD mapping-table backup:
-/// one sealed, checksummed record per non-pending entry, in log
-/// sequence order, plus the log geometry.
+/// the sealed, checksummed records of the log tail in sequence order,
+/// the checkpoint image of the dirty entries, and the log geometry.
 ///
 /// The paper: "To ensure reliability, the dirty entries of the mapping
 /// table are immediately updated on the SSD with the write requests to
-/// the SSD" — so after a crash, every entry whose SSD write completed
-/// (including dirty ones: their data and table records are on flash) is
-/// recoverable; entries whose admission write was still in flight are
-/// not.
+/// the SSD" — so after a crash every dirty entry is recoverable (its
+/// data and table record are on flash). Clean entries are not: their
+/// home-disk copies are authoritative, and a restart drops them.
 #[derive(Debug, Clone)]
 pub struct PersistentState {
     records: Vec<SealedRecord>,
@@ -358,7 +370,8 @@ pub struct PersistentState {
 }
 
 /// The on-media image of the indexed checkpoint: one sealed record per
-/// entry the image held, plus the newest sequence number it covers.
+/// dirty entry at checkpoint time, plus the newest sequence number it
+/// covers.
 #[derive(Debug, Clone)]
 pub struct SealedCheckpoint {
     /// Tail records with `seq <= covers_seq` are already reflected in
@@ -396,8 +409,8 @@ impl PersistentState {
 pub struct FsckReport {
     /// Records scanned (every record in the backup).
     pub records_scanned: u64,
-    /// Records that verified and were replayed (or deliberately
-    /// dropped as clean during a restart).
+    /// Records that verified and were replayed (clean ones are then
+    /// dropped by the restart).
     pub records_intact: u64,
     /// Records truncated mid-write (crash tore them).
     pub records_torn: u64,
@@ -408,7 +421,8 @@ pub struct FsckReport {
     /// Total records quarantined (torn + corrupt + sequence breaks +
     /// structurally inconsistent with the log geometry).
     pub records_quarantined: u64,
-    /// Clean entries deliberately invalidated (restart semantics).
+    /// Intact clean entries dropped: their home-disk copies are
+    /// authoritative.
     pub clean_entries_dropped: u64,
     /// Dirty entries replayed.
     pub dirty_entries_kept: u64,
@@ -449,6 +463,11 @@ impl IBridgePolicy {
         }
     }
 
+    /// Read-only view of the mapping table (tests and inspection).
+    pub fn table(&self) -> &MappingTable {
+        &self.table
+    }
+
     /// Structural sanity of a decoded record against the log geometry:
     /// a genuine record describes a non-empty byte range whose extents
     /// cover exactly its data sectors and sit inside the log.
@@ -461,15 +480,17 @@ impl IBridgePolicy {
 
     /// Replays one verified record into the recovering policy.
     ///
-    /// A tombstone kills the entry its target sequence number replayed
+    /// A tombstone kills the entry its target's records replayed as
     /// (if any); a normal record supersedes whatever older entries
     /// overlap its range — the segmented log legitimately carries an
     /// old copy and its replacement until the old segment is reclaimed,
     /// and replaying in sequence order makes the newest copy win.
+    /// `replayed` maps each entry id on media to the id its newest
+    /// replayed copy got.
     fn replay_record(
         p: &mut IBridgePolicy,
         rep: &mut FsckReport,
-        seq_to_id: &mut FxHashMap<u64, EntryId>,
+        replayed: &mut FxHashMap<EntryId, EntryId>,
         scratch: &mut Vec<EntryId>,
         rec: &LogRecord,
         capacity_sectors: u64,
@@ -480,10 +501,8 @@ impl IBridgePolicy {
                 return;
             }
             rep.records_intact += 1;
-            if let Some(id) = seq_to_id.remove(&rec.entry) {
-                if p.table.remove(id).is_some() {
-                    p.log.evict(id);
-                }
+            if let Some(id) = replayed.remove(&rec.entry) {
+                p.forget(id);
             }
             return;
         }
@@ -495,9 +514,7 @@ impl IBridgePolicy {
         p.table
             .find_overlaps_into(rec.file, rec.offset, rec.len, scratch);
         for &id in scratch.iter() {
-            if p.table.remove(id).is_some() {
-                p.log.evict(id);
-            }
+            p.forget(id);
         }
         rep.records_intact += 1;
         let id = p.table.next_id();
@@ -522,7 +539,7 @@ impl IBridgePolicy {
         if rec.dirty {
             p.log.protect(id);
         }
-        seq_to_id.insert(rec.seq, id);
+        replayed.insert(rec.entry, id);
     }
 
     /// Rebuilds a policy from a durable snapshot via a recovery fsck,
@@ -535,17 +552,12 @@ impl IBridgePolicy {
     ///    O(appends since the last checkpoint), not O(log). Verified
     ///    tail records must keep strict sequence continuity; tombstones
     ///    kill their targets, newer range copies supersede older ones.
-    /// 3. With `keep_clean = false` (restart semantics) intact clean
-    ///    entries are then deliberately invalidated — their home-disk
-    ///    copies are authoritative.
+    /// 3. Intact clean entries are then dropped — their home-disk copies
+    ///    are authoritative, so only dirty entries survive a restart.
     ///
     /// The recovered policy starts from a fresh bootstrap checkpoint of
-    /// whatever survived, so the next restart's tail is empty.
-    pub fn recover_with_report(
-        cfg: IBridgeConfig,
-        state: &PersistentState,
-        keep_clean: bool,
-    ) -> (Self, FsckReport) {
+    /// the surviving dirty entries, so the next restart's tail is empty.
+    pub fn recover_with_report(cfg: IBridgeConfig, state: &PersistentState) -> (Self, FsckReport) {
         let mut p = IBridgePolicy::new(cfg);
         assert_eq!(
             p.log.capacity(),
@@ -553,7 +565,7 @@ impl IBridgePolicy {
             "recovering onto a different SSD partition size"
         );
         let mut rep = FsckReport::default();
-        let mut seq_to_id: FxHashMap<u64, EntryId> = FxHashMap::default();
+        let mut replayed: FxHashMap<EntryId, EntryId> = FxHashMap::default();
         let mut scratch: Vec<EntryId> = Vec::new();
         let covers = state.checkpoint.as_ref().map(|c| c.covers_seq);
 
@@ -593,7 +605,7 @@ impl IBridgePolicy {
                 Self::replay_record(
                     &mut p,
                     &mut rep,
-                    &mut seq_to_id,
+                    &mut replayed,
                     &mut scratch,
                     &rec,
                     state.log_capacity_sectors,
@@ -635,68 +647,71 @@ impl IBridgePolicy {
             Self::replay_record(
                 &mut p,
                 &mut rep,
-                &mut seq_to_id,
+                &mut replayed,
                 &mut scratch,
                 &rec,
                 state.log_capacity_sectors,
             );
         }
 
-        // Restart semantics: intact clean entries were replayed above
-        // (tombstones and newer copies need them resolvable), but their
-        // home-disk copies are authoritative — drop them now.
-        if !keep_clean {
-            let mut clean: Vec<EntryId> = p
-                .table
-                .entries()
-                .filter(|e| !e.dirty)
-                .map(|e| e.id)
-                .collect();
-            clean.sort_unstable();
-            for id in clean {
-                if p.table.remove(id).is_some() {
-                    p.log.evict(id);
-                    rep.clean_entries_dropped += 1;
-                }
-            }
+        // Intact clean entries were replayed above (tombstones and newer
+        // copies need them resolvable), but their home-disk copies are
+        // authoritative — drop them now. Dirty entries are re-queued
+        // for writeback.
+        let mut clean: Vec<EntryId> = p
+            .table
+            .entries()
+            .filter(|e| !e.dirty)
+            .map(|e| e.id)
+            .collect();
+        clean.sort_unstable();
+        for id in clean {
+            p.forget(id);
+            rep.clean_entries_dropped += 1;
         }
-        for e in p.table.entries() {
-            if e.dirty {
-                rep.dirty_entries_kept += 1;
-                rep.dirty_bytes_kept += e.len;
-            }
-        }
+        rep.dirty_entries_kept = p.table.len() as u64;
+        rep.dirty_bytes_kept = p.table.dirty_bytes();
         p.log.set_head(state.log_head);
         p.next_log_seq = state.next_seq;
         // Bootstrap checkpoint: the survivors become the image, so the
         // next restart replays an empty tail.
         if state.next_seq > 0 {
-            let mut durable: Vec<&Entry> = p.table.entries().collect();
-            durable.sort_by_key(|e| e.log_seq);
-            let image: Vec<LogRecord> = durable.iter().map(|e| Self::entry_record(e)).collect();
+            let image = p.dirty_image();
             p.backup.install_checkpoint(image, state.next_seq - 1);
             p.backup.reclaim(); // fresh log: nothing was condemned
         }
         (p, rep)
     }
 
-    /// Rebuilds a policy from a durable snapshot (server restart with a
-    /// warm SSD). Flush state is conservatively reset: dirty entries are
-    /// re-queued for writeback.
-    pub fn recover(cfg: IBridgeConfig, state: &PersistentState) -> Self {
-        Self::recover_with_report(cfg, state, true).0
+    /// The checkpoint image: one record per dirty, non-pending entry,
+    /// ascending sequence number. Clean entries are left out — a
+    /// restart drops them, so no record of theirs needs to survive.
+    fn dirty_image(&self) -> Vec<LogRecord> {
+        let mut image: Vec<LogRecord> = self
+            .table
+            .entries()
+            .filter(|e| e.dirty && !e.pending)
+            .map(Self::entry_record)
+            .collect();
+        image.sort_unstable_by_key(|r| r.seq);
+        image
     }
 
-    /// Writes the periodic indexed checkpoint: the full mapping-table
-    /// image (non-pending entries, ascending sequence number) covering
-    /// everything appended so far. Installing it condemns every
-    /// retained segment; the next barrier reclaims them. Public so the
-    /// `logmaint` experiment can pin recovery right after a checkpoint,
-    /// when covered tail records are skipped unverified.
+    /// Does the checkpoint image hold the record carrying `seq`?
+    fn in_checkpoint(&self, seq: u64) -> bool {
+        self.backup
+            .checkpoint()
+            .is_some_and(|cp| cp.records.binary_search_by_key(&seq, |r| r.seq).is_ok())
+    }
+
+    /// Writes the periodic indexed checkpoint: an image of the dirty
+    /// entries (ascending sequence number) covering everything
+    /// appended so far. Installing it condemns every retained segment;
+    /// the next barrier reclaims them. Public so the `logmaint`
+    /// experiment can pin recovery right after a checkpoint, when
+    /// covered tail records are skipped unverified.
     pub fn write_checkpoint(&mut self) {
-        let mut durable: Vec<&Entry> = self.table.entries().filter(|e| !e.pending).collect();
-        durable.sort_by_key(|e| e.log_seq);
-        let image: Vec<LogRecord> = durable.iter().map(|e| Self::entry_record(e)).collect();
+        let image = self.dirty_image();
         self.maint.checkpoints += 1;
         self.maint.checkpoint_records += image.len() as u64;
         self.maint.checkpoint_bytes += image
@@ -749,31 +764,41 @@ impl IBridgePolicy {
     }
 
     /// Cross-checks the policy's live state: the mapping table's own
-    /// invariants, every entry's data sectors resident in the log, the
-    /// protected (pinned) set agreeing exactly with the dirty entries,
-    /// and no log residency for entries the table no longer knows.
+    /// invariants, every dirty entry's backup record on media, the
+    /// checkpoint image holding dirty records only, every entry's data
+    /// sectors resident in the log, the protected (pinned) set agreeing
+    /// exactly with the dirty entries, and no log residency for entries
+    /// the table no longer knows.
     pub fn audit(&self) -> Result<(), String> {
         self.table.audit()?;
         self.backup.audit()?;
         if self.enabled() {
-            // Every non-pending entry's backup record must be findable:
-            // live on the tail, or inside the checkpoint image.
+            // Every dirty entry's backup record must be findable: live
+            // on the tail, or inside the checkpoint image. Clean entries
+            // need none — a restart drops them by design.
             for e in self.table.entries() {
-                if e.pending {
+                if !e.dirty || e.pending {
                     continue;
                 }
                 let in_tail = self.backup.is_live(e.log_seq);
-                let in_ckpt = self.backup.checkpoint().is_some_and(|cp| {
-                    cp.records
-                        .binary_search_by_key(&e.log_seq, |r| r.seq)
-                        .is_ok()
-                });
+                let in_ckpt = self.in_checkpoint(e.log_seq);
                 if !in_tail && !in_ckpt {
                     return Err(format!(
                         "entry {} has no backup record for seq {}",
                         e.id, e.log_seq
                     ));
                 }
+            }
+            // The image holds dirty entries only.
+            if let Some(r) = self
+                .backup
+                .checkpoint()
+                .and_then(|cp| cp.records.iter().find(|r| !r.dirty))
+            {
+                return Err(format!(
+                    "checkpoint image holds clean record seq {} (entry {})",
+                    r.seq, r.entry
+                ));
             }
             // And every live non-tombstone tail record must describe a
             // current entry (otherwise a stale record could resurrect).
@@ -1093,7 +1118,7 @@ impl CachePolicy for IBridgePolicy {
         // pending), so whatever the fsck fails to bring back was lost
         // to corruption — the durability cost.
         let dirty_durable = self.table.dirty_bytes();
-        let (mut fresh, fsck) = IBridgePolicy::recover_with_report(self.cfg.clone(), &state, false);
+        let (mut fresh, fsck) = IBridgePolicy::recover_with_report(self.cfg.clone(), &state);
         let report = RestartReport {
             dirty_entries_kept: fsck.dirty_entries_kept,
             dirty_bytes_kept: fsck.dirty_bytes_kept,
@@ -1179,7 +1204,12 @@ impl CachePolicy for IBridgePolicy {
                 for _ in 0..sectors {
                     let idx = (splitmix64(&mut state) % eligible.len() as u64) as usize;
                     let bit = splitmix64(&mut state);
-                    hit.insert(eligible[idx]);
+                    // A covered clean entry has no image record (the
+                    // image holds dirty entries only): rot drawn onto it
+                    // lands on free space and is not counted as a hit.
+                    if !in_ckpt(eligible[idx]) || self.in_checkpoint(eligible[idx]) {
+                        hit.insert(eligible[idx]);
+                    }
                     self.planned_damage.push(PlannedDamage::FlipBit {
                         seq: eligible[idx],
                         bit,
@@ -1542,7 +1572,7 @@ mod tests {
         p.place(SimTime::ZERO, &bulk(IoDir::Write, 0, 64 * KB), 0);
         // A dirty redirected write: durable (data + table record on SSD).
         p.place(SimTime::ZERO, &frag(IoDir::Write, 1 << 20, KB), 900_000_000);
-        // A completed read admission: durable and clean.
+        // A completed read admission: clean, so the restart drops it.
         let sub_done = frag(IoDir::Read, 2 << 20, KB);
         p.place(SimTime::ZERO, &sub_done, 900_000_000);
         let (entry, _) = p.read_admission(SimTime::ZERO, &sub_done).unwrap();
@@ -1553,16 +1583,21 @@ mod tests {
         let _ = p.read_admission(SimTime::ZERO, &sub_pending).unwrap();
 
         let snap = p.snapshot();
-        let mut r = IBridgePolicy::recover(IBridgeConfig::with_capacity(0, 64 << 20), &snap);
+        let (mut r, fsck) =
+            IBridgePolicy::recover_with_report(IBridgeConfig::with_capacity(0, 64 << 20), &snap);
+        assert_eq!(fsck.dirty_entries_kept, 1);
+        assert_eq!(fsck.clean_entries_dropped, 1);
 
-        // Durable entries hit after recovery.
+        // The dirty entry hits after recovery.
         assert!(matches!(
             r.place(SimTime::ZERO, &frag(IoDir::Read, 1 << 20, KB), 900_000_000),
             Placement::Ssd { .. }
         ));
+        // The clean admission misses: its home-disk copy is
+        // authoritative.
         assert!(matches!(
             r.place(SimTime::ZERO, &frag(IoDir::Read, 2 << 20, KB), 900_000_000),
-            Placement::Ssd { .. }
+            Placement::Disk { .. }
         ));
         // The in-flight admission is gone.
         assert!(matches!(
@@ -1580,7 +1615,8 @@ mod tests {
         p.place(SimTime::ZERO, &bulk(IoDir::Write, 0, 64 * KB), 0);
         p.place(SimTime::ZERO, &frag(IoDir::Write, 1 << 20, KB), 900_000_000);
         let snap = p.snapshot();
-        let mut r = IBridgePolicy::recover(IBridgeConfig::with_capacity(0, 64 << 20), &snap);
+        let (mut r, _) =
+            IBridgePolicy::recover_with_report(IBridgeConfig::with_capacity(0, 64 << 20), &snap);
         // A new redirected write lands after the recovered head, not over
         // the surviving entry.
         let Placement::Ssd { extents } =
@@ -1615,11 +1651,8 @@ mod tests {
         // Tear the newest record, rot an older one.
         state.records_mut()[3].tear();
         state.records_mut()[1].flip_bit(123);
-        let (r, fsck) = IBridgePolicy::recover_with_report(
-            IBridgeConfig::with_capacity(0, 64 << 20),
-            &state,
-            true,
-        );
+        let (r, fsck) =
+            IBridgePolicy::recover_with_report(IBridgeConfig::with_capacity(0, 64 << 20), &state);
         assert_eq!(fsck.records_scanned, 4);
         assert_eq!(fsck.records_torn, 1);
         assert_eq!(fsck.records_corrupt, 1);
@@ -1651,11 +1684,8 @@ mod tests {
         // second — a stale duplicate a real log could surface.
         let dup = state.records()[0].clone();
         state.records_mut().push(dup);
-        let (_, fsck) = IBridgePolicy::recover_with_report(
-            IBridgeConfig::with_capacity(0, 64 << 20),
-            &state,
-            true,
-        );
+        let (_, fsck) =
+            IBridgePolicy::recover_with_report(IBridgeConfig::with_capacity(0, 64 << 20), &state);
         assert_eq!(fsck.seq_breaks, 1);
         assert_eq!(fsck.records_quarantined, 1);
         assert_eq!(fsck.dirty_entries_kept, 2);
@@ -1730,6 +1760,47 @@ mod tests {
         let (quarantined, lost) = run(7);
         assert!(quarantined >= 1, "bit rot must corrupt something");
         assert_eq!(lost, quarantined * KB);
+    }
+
+    #[test]
+    fn checkpoint_rot_counts_only_records_on_media() {
+        // Clean entries have no image record, so rot drawn onto them
+        // lands on free space: every counted hit is a quarantined dirty
+        // record, whatever the draw.
+        for seed in 0..16u64 {
+            let mut p = policy();
+            p.place(SimTime::ZERO, &bulk(IoDir::Write, 0, 64 * KB), 0);
+            for i in 0..6u64 {
+                p.place(
+                    SimTime::ZERO,
+                    &frag(IoDir::Write, (i + 1) << 20, KB),
+                    900_000_000,
+                );
+            }
+            // Clean half the entries, then checkpoint: the image holds
+            // the three still-dirty ones.
+            for op in p.flush_batch(SimTime::ZERO, 3 * KB) {
+                p.flush_complete(SimTime::ZERO, op.id);
+            }
+            assert_eq!(p.dirty_bytes(), 3 * KB);
+            p.write_checkpoint();
+            assert_eq!(p.backup.checkpoint().unwrap().records.len(), 3);
+            p.audit().expect("dirty-only image");
+            let hit = CachePolicy::inject_corruption(
+                &mut p,
+                SimTime::ZERO,
+                LogCorruption::BitRot {
+                    sectors: 3,
+                    seed,
+                    target: BitRotTarget::Checkpoint,
+                },
+            );
+            let r = p.server_restart(SimTime::ZERO);
+            assert_eq!(hit, r.records_quarantined, "seed {seed}");
+            assert_eq!(r.dirty_bytes_lost, hit * KB, "seed {seed}");
+            assert_eq!(r.dirty_entries_kept, 3 - hit, "seed {seed}");
+            p.audit().expect("post-restart state is consistent");
+        }
     }
 
     #[test]

@@ -102,9 +102,9 @@ pub struct LogRecord {
     pub ret: f64,
     /// Whether the cached data is newer than the disk copy.
     pub dirty: bool,
-    /// Tombstone: the record retires an earlier record instead of
-    /// describing a live entry. `entry` then holds the *sequence
-    /// number* of the record being killed, and `extents` is empty.
+    /// Tombstone: the record retires an entry instead of describing a
+    /// live one. Every earlier record carrying the same `entry` id is
+    /// dead, and `extents` is empty.
     pub tombstone: bool,
     /// Data extents in the SSD log.
     pub extents: ExtentList,

@@ -19,12 +19,14 @@
 //!   media until a later maintenance barrier **reclaims** them — the
 //!   two-phase reclaim means a crash mid-compaction still finds either
 //!   the old intact copies or the rewritten ones, never neither.
-//! * A periodic **indexed checkpoint** serialises the whole mapping
-//!   table plus `covers_seq`, the newest sequence number it reflects.
-//!   Writing a checkpoint condemns every retained segment: restart
-//!   recovery then replays the checkpoint image and only the *tail* of
-//!   records newer than `covers_seq` — O(dirty appends since the last
-//!   checkpoint), not O(log).
+//! * A periodic **indexed checkpoint** serialises the dirty entries of
+//!   the mapping table plus `covers_seq`, the newest sequence number it
+//!   reflects. Clean entries are left out: a restart drops them, since
+//!   their home-disk copies are authoritative. Writing a checkpoint
+//!   condemns every retained segment: restart recovery then replays the
+//!   checkpoint image and only the *tail* of records newer than
+//!   `covers_seq` — O(dirty appends since the last checkpoint), not
+//!   O(log) — and the checkpoint write itself is O(dirty entries).
 //!
 //! The log stores decoded [`LogRecord`]s (heap-free for the one- or
 //! two-extent records the circular data log produces) and accounts
@@ -144,17 +146,17 @@ impl Segment {
     }
 }
 
-/// The periodic indexed checkpoint: a serialized image of every
-/// non-pending mapping-table entry, plus the newest sequence number the
-/// image reflects. At most one checkpoint is retained — writing a new
-/// one replaces it.
+/// The periodic indexed checkpoint: a serialized image of the dirty
+/// mapping-table entries, plus the newest sequence number the image
+/// reflects. At most one checkpoint is retained — writing a new one
+/// replaces it.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     /// Every record with `seq <= covers_seq` is reflected in (or
     /// deliberately absent from) this image; recovery skips such
     /// records and replays only the newer tail.
     pub covers_seq: u64,
-    /// The image: one record per entry, ascending `seq`.
+    /// The image: one record per dirty entry, ascending `seq`.
     pub records: Vec<LogRecord>,
 }
 

@@ -5,10 +5,15 @@
 # blobs.
 #
 #   scripts/bench-diff.sh OLD.json NEW.json [--threshold PCT] [--alloc-threshold PCT]
+#                         [--peak-threshold PCT]
 #
 # Exits non-zero if any experiment's jobs-1 events/sec regresses by more
 # than PCT percent (default 10), or its allocs/event grows by more than
-# the alloc threshold (defaults to the rate threshold). Experiments that
+# the alloc threshold (defaults to the rate threshold). With
+# --peak-threshold it also fails when an experiment's jobs-1 peak_bytes
+# (the peak live heap, counted per thread; it repeats to within a few
+# hundred bytes from run to run) grows by more than that percentage.
+# Experiments that
 # dispatch no events (pure table renders, rate = null) are listed but
 # never gate, as are null alloc/rate fields on either side. Wall-clock
 # rates are host-noisy — on a shared 1-CPU box same-binary reruns drift
@@ -16,12 +21,14 @@
 # host drift; allocs/event is deterministic and can stay tight.
 #
 # Missing or unparsable reports, an empty comparable-experiment
-# intersection, and an explicit --alloc-threshold against a report with
-# no alloc data all fail loudly (exit 2) instead of passing vacuously.
+# intersection, and an explicit --alloc-threshold or --peak-threshold
+# against a report with no alloc data all fail loudly (exit 2) instead
+# of passing vacuously.
 set -euo pipefail
 
 threshold=10
 alloc_threshold=""
+peak_threshold=""
 files=()
 while [ $# -gt 0 ]; do
   case "$1" in
@@ -35,8 +42,13 @@ while [ $# -gt 0 ]; do
       [ $# -gt 0 ] || { echo "bench-diff: --alloc-threshold needs a value" >&2; exit 2; }
       alloc_threshold="$1"
       ;;
+    --peak-threshold)
+      shift
+      [ $# -gt 0 ] || { echo "bench-diff: --peak-threshold needs a value" >&2; exit 2; }
+      peak_threshold="$1"
+      ;;
     -h|--help)
-      sed -n '2,21p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,26p' "$0" | sed 's/^# \{0,1\}//'
       exit 0
       ;;
     -*)
@@ -50,13 +62,13 @@ while [ $# -gt 0 ]; do
   shift
 done
 [ "${#files[@]}" -eq 2 ] || {
-  echo "usage: bench-diff.sh OLD.json NEW.json [--threshold PCT] [--alloc-threshold PCT]" >&2
+  echo "usage: bench-diff.sh OLD.json NEW.json [--threshold PCT] [--alloc-threshold PCT] [--peak-threshold PCT]" >&2
   exit 2
 }
 
 OLD="${files[0]}" NEW="${files[1]}" THRESHOLD="$threshold" \
 ALLOC_THRESHOLD="${alloc_threshold:-$threshold}" \
-ALLOC_GATE="${alloc_threshold:+1}" python3 - <<'PY'
+ALLOC_GATE="${alloc_threshold:+1}" PEAK_THRESHOLD="$peak_threshold" python3 - <<'PY'
 import json, os, sys
 
 old_path, new_path = os.environ["OLD"], os.environ["NEW"]
@@ -66,6 +78,15 @@ alloc_threshold = float(os.environ["ALLOC_THRESHOLD"])
 # an alloc gate, so a report that cannot be gated is an error, not a
 # silent pass.
 alloc_gate = os.environ.get("ALLOC_GATE") == "1"
+# Empty unless --peak-threshold was passed: the peak gate is opt-in.
+peak_threshold = os.environ.get("PEAK_THRESHOLD") or None
+if peak_threshold is not None:
+    try:
+        peak_threshold = float(peak_threshold)
+    except ValueError:
+        print(f"bench-diff: --peak-threshold needs a number, got {peak_threshold!r}",
+              file=sys.stderr)
+        sys.exit(2)
 
 def die(msg):
     print(f"bench-diff: {msg}", file=sys.stderr)
@@ -103,6 +124,10 @@ def rate(e):
 def allocs(e):
     return e.get("allocs_per_event")
 
+def peak(e):
+    # Zero without the counting allocator: no data, never gated.
+    return e.get("peak_bytes") or None
+
 def thr_rate(e):
     # Intra-run threaded rate (PR 7+); null when the report ran at
     # --threads 1 or predates the field.
@@ -126,18 +151,24 @@ if not names:
 if alloc_gate and all(new[n].get("allocs_per_event") is None for n in names):
     die(f"--alloc-threshold given but {new_path} carries no allocs_per_event "
         f"(build the new report with --features count-allocs)")
+if peak_threshold is not None and all(peak(new[n]) is None for n in names):
+    die(f"--peak-threshold given but {new_path} carries no peak_bytes "
+        f"(build the new report with --features count-allocs)")
 
 w = max((len(n) for n in names), default=4)
 # The threaded column only renders when at least one side carries a
 # non-null threaded rate; it is informational (never gated — the jobs-1
 # serial rate is the apples-to-apples figure).
 have_thr = any(thr_rate(e) is not None for e in list(old.values()) + list(new.values()))
+peak_gate = f", peak +{peak_threshold:g}%" if peak_threshold is not None else ""
 print(f"{old_path} -> {new_path}  "
-      f"(gate: rate ±{threshold:g}%, allocs +{alloc_threshold:g}%)")
+      f"(gate: rate ±{threshold:g}%, allocs +{alloc_threshold:g}%{peak_gate})")
 hdr = (f"{'name':{w}}  {'ev/s old':>12} {'ev/s new':>12} {'Δ':>8}   "
        f"{'alloc/ev old':>12} {'alloc/ev new':>12} {'Δ':>8}")
 if have_thr:
     hdr += f"   {'ev/s thr old':>12} {'ev/s thr new':>12}"
+if peak_threshold is not None:
+    hdr += f"   {'peak MB old':>11} {'peak MB new':>11} {'Δ':>8}"
 print(hdr)
 failures = []
 for n in names:
@@ -157,6 +188,15 @@ for n in names:
             f"{('%+.1f%%' % da) if da is not None else '-':>8}")
     if have_thr:
         line += f"   {fmt(thr_rate(old[n])):>12} {fmt(thr_rate(new[n])):>12}"
+    if peak_threshold is not None:
+        p0, p1 = peak(old[n]), peak(new[n])
+        dp = delta(p0, p1)
+        if dp is not None and dp > peak_threshold:
+            failures.append(f"{n}: peak bytes grew {dp:+.1f}%")
+            mark += "  << peak"
+        mb = lambda x: f"{x / 1e6:.3f}" if x is not None else "-"
+        line += (f"   {mb(p0):>11} {mb(p1):>11} "
+                 f"{('%+.1f%%' % dp) if dp is not None else '-':>8}")
     print(line + mark)
 for n in missing:
     print(f"{n:{w}}  (only in one report)")
