@@ -103,6 +103,8 @@ pub struct IBridgePolicy {
     next_flush: FlushId,
     /// Reused scratch for overlap invalidation (no per-write allocation).
     overlap_scratch: Vec<EntryId>,
+    /// Reused scratch for writeback batches: `(file, offset, id)`.
+    flush_scratch: Vec<(FileHandle, u64, EntryId)>,
     /// Set when the SSD device died: the policy runs disk-only from
     /// then on and the MDS drops this server from its broadcasts.
     degraded: bool,
@@ -170,6 +172,7 @@ impl IBridgePolicy {
             flush_to_entry: FxHashMap::default(),
             next_flush: 0,
             overlap_scratch: Vec::new(),
+            flush_scratch: Vec::new(),
             degraded: false,
             next_log_seq: 0,
             backup: SegmentedLog::new(cfg.segment_bytes),
@@ -686,11 +689,20 @@ impl IBridgePolicy {
     /// The checkpoint image: one record per dirty, non-pending entry,
     /// ascending sequence number. Clean entries are left out — a
     /// restart drops them, so no record of theirs needs to survive.
+    ///
+    /// O(dirty): a dirty entry is either flush-eligible (the table's
+    /// flushable index) or has a writeback in flight (`flush_to_entry`).
+    /// Redirected writes are never pending, so no dirty entry is missed.
     fn dirty_image(&self) -> Vec<LogRecord> {
+        let flushing = self
+            .flush_to_entry
+            .values()
+            .filter_map(|&id| self.table.get(id))
+            .filter(|e| e.dirty && e.flushing && !e.pending);
         let mut image: Vec<LogRecord> = self
             .table
-            .entries()
-            .filter(|e| e.dirty && !e.pending)
+            .flushable()
+            .chain(flushing)
             .map(Self::entry_record)
             .collect();
         image.sort_unstable_by_key(|r| r.seq);
@@ -788,6 +800,18 @@ impl IBridgePolicy {
                         e.id, e.log_seq
                     ));
                 }
+            }
+            // The O(dirty) image builder sees exactly the dirty,
+            // non-pending entries a full table scan finds.
+            let mut scanned: Vec<u64> = self
+                .table
+                .entries()
+                .filter(|e| e.dirty && !e.pending)
+                .map(|e| e.log_seq)
+                .collect();
+            scanned.sort_unstable();
+            if !self.dirty_image().iter().map(|r| r.seq).eq(scanned) {
+                return Err("dirty image disagrees with a full table scan".into());
             }
             // The image holds dirty entries only.
             if let Some(r) = self
@@ -1010,10 +1034,11 @@ impl CachePolicy for IBridgePolicy {
     }
 
     fn flush_batch(&mut self, _now: SimTime, max_bytes: u64) -> Vec<FlushOp> {
-        let batch = self.table.dirty_batch(max_bytes);
-        batch
-            .into_iter()
-            .map(|id| {
+        let mut batch = std::mem::take(&mut self.flush_scratch);
+        self.table.dirty_batch(max_bytes, &mut batch);
+        let ops = batch
+            .iter()
+            .map(|&(file, offset, id)| {
                 self.table.set_flushing(id, true);
                 let e = self.table.get(id).expect("picked entry exists");
                 let flush = self.next_flush;
@@ -1021,13 +1046,15 @@ impl CachePolicy for IBridgePolicy {
                 self.flush_to_entry.insert(flush, id);
                 FlushOp {
                     id: flush,
-                    file: e.file,
-                    offset: e.offset,
+                    file,
+                    offset,
                     len: e.len,
                     ssd_extents: e.extents.clone(),
                 }
             })
-            .collect()
+            .collect();
+        self.flush_scratch = batch;
+        ops
     }
 
     fn flush_complete(&mut self, _now: SimTime, id: FlushId) {

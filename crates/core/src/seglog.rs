@@ -38,8 +38,10 @@
 
 use crate::record::LogRecord;
 
-/// One fixed-size run of backup records. Ascending, gap-free-by-append
-/// sequence numbers within the segment; sealed segments are immutable.
+/// One fixed-size run of backup records. Every append takes the next
+/// sequence number into the open segment, so a segment holds contiguous
+/// seqs and the record carrying `seq` sits at index `seq - first_seq`.
+/// Sealed segments are immutable.
 #[derive(Debug, Clone)]
 pub struct Segment {
     records: Vec<LogRecord>,
@@ -121,8 +123,8 @@ impl Segment {
     fn push(&mut self, rec: LogRecord) {
         debug_assert!(!self.sealed, "appending to a sealed segment");
         debug_assert!(
-            self.records.last().is_none_or(|l| l.seq < rec.seq),
-            "segment appends must carry increasing seqs"
+            self.records.last().is_none_or(|l| l.seq + 1 == rec.seq),
+            "segment appends must carry contiguous seqs"
         );
         let len = record_bytes(&rec);
         self.bytes += len;
@@ -131,10 +133,16 @@ impl Segment {
         self.dead.push(false);
     }
 
+    /// Index of the record carrying `seq`, if the segment holds it.
+    fn index_of(&self, seq: u64) -> Option<usize> {
+        let i = seq.checked_sub(self.first_seq()?)? as usize;
+        (i < self.records.len()).then_some(i)
+    }
+
     /// Marks the record carrying `seq` dead. Returns false when the
     /// segment does not hold it (or it is already dead).
     fn kill(&mut self, seq: u64) -> bool {
-        let Ok(i) = self.records.binary_search_by_key(&seq, |r| r.seq) else {
+        let Some(i) = self.index_of(seq) else {
             return false;
         };
         if self.dead[i] {
@@ -204,7 +212,8 @@ impl SegmentedLog {
         (self.segment_bytes as usize / LogRecord::encoded_len(0)).max(1)
     }
 
-    /// Appends a record (its `seq` must exceed every previous append).
+    /// Appends a record (its `seq` must be one past the previous
+    /// append's).
     /// Returns true when the append sealed the previously open segment.
     pub fn append(&mut self, rec: LogRecord) -> bool {
         self.appends_since_checkpoint += 1;
@@ -253,10 +262,7 @@ impl SegmentedLog {
             return false;
         }
         let s = &self.segments[i - 1];
-        match s.records.binary_search_by_key(&seq, |r| r.seq) {
-            Ok(j) => !s.dead[j],
-            Err(_) => false,
-        }
+        s.index_of(seq).is_some_and(|j| !s.dead[j])
     }
 
     /// Installs a checkpoint image covering everything up to
@@ -380,8 +386,9 @@ impl SegmentedLog {
     }
 
     /// Structural invariants: parallel dead bitmap, byte accounting,
-    /// strictly ascending disjoint seq ranges, only the last retained
-    /// segment open, retained media strictly newer than the checkpoint.
+    /// contiguous seqs within each segment, strictly ascending disjoint
+    /// seq ranges across segments, only the last retained segment open,
+    /// retained media strictly newer than the checkpoint.
     pub fn audit(&self) -> Result<(), String> {
         let mut prev_last: Option<u64> = None;
         for (i, s) in self.segments.iter().enumerate() {
@@ -402,8 +409,8 @@ impl SegmentedLog {
             if s.live_bytes > s.bytes {
                 return Err(format!("segment {i}: live exceeds total"));
             }
-            if !s.records.windows(2).all(|w| w[0].seq < w[1].seq) {
-                return Err(format!("segment {i}: seqs not ascending"));
+            if !s.records.windows(2).all(|w| w[0].seq + 1 == w[1].seq) {
+                return Err(format!("segment {i}: seqs not contiguous"));
             }
             if let (Some(prev), Some(first)) = (prev_last, s.first_seq()) {
                 if first <= prev {
@@ -560,6 +567,20 @@ mod tests {
         assert_eq!(walk, vec![0, 1, 2, 0, 1, 2], "open segment never scrubbed");
         let mut empty = SegmentedLog::new(256);
         assert_eq!(empty.scrub_next(), None);
+    }
+
+    #[test]
+    fn kill_and_liveness_index_each_segment_by_seq() {
+        let mut l = log_with(9, 256); // segments hold 0-2, 3-5, 6-8
+        l.condemn(1);
+        assert!(l.is_live(6) && l.is_live(8));
+        assert!(!l.is_live(4), "condemned media is not the retained tail");
+        assert!(!l.is_live(9), "past the last append");
+        assert!(l.kill(7));
+        assert!(!l.is_live(7) && l.is_live(8));
+        assert!(!l.kill(4) && !l.kill(9));
+        assert_eq!(l.segment(1).live_count(), 2);
+        l.audit().unwrap();
     }
 
     #[test]

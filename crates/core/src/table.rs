@@ -6,11 +6,27 @@
 //! there (fragment vs regular random — the two partitions of the SSD),
 //! the return value recorded at admission (used for the dynamic
 //! partitioning), dirtiness, and LRU position within its class.
+//!
+//! The table sits on every iBridge request, so its indexes are built
+//! for O(1) hot-path work on small dense arrays:
+//!
+//! * **LRU order is a position.** Each class hands out positions in
+//!   increasing order; a use moves the entry to the next position and
+//!   leaves a dead slot behind. Two bitmaps over the positions mark the
+//!   entries that could be evicted or flushed right now, so the LRU
+//!   victim is the first set bit and a writeback batch walks set bits in
+//!   order. Once dead slots outnumber live entries (plus a small fixed
+//!   slack), the class renumbers its positions densely, keeping order.
+//! * **Ranges carry their ends.** Per file, `by_range` maps each entry's
+//!   offset to its end and id. Entries of a file are disjoint, so ends
+//!   ascend with offsets and every overlap query is one tree descent
+//!   walking backwards from the last entry starting before the range's
+//!   end, without probing the entry map.
 
 use crate::log::EntryId;
 use ibridge_des::fxhash::FxHashMap;
 use ibridge_localfs::{Extent, ExtentList, FileHandle};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Which SSD partition an entry belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,10 +72,17 @@ pub struct Entry {
     /// Sequence number of the entry's log append, carried in its
     /// on-SSD backup record (recovery checks these for continuity).
     pub log_seq: u64,
-    lru_seq: u64,
+    /// Position in its class's LRU order (see `ClassLru`). 32 bits
+    /// keep `Entry` at 120 bytes: positions stay below twice the live
+    /// entries plus a small slack, far under `u32::MAX`.
+    lru_pos: u32,
 }
 
 impl Entry {
+    fn pos(&self) -> usize {
+        self.lru_pos as usize
+    }
+
     /// Slices this entry's log extents to the byte sub-range
     /// `[from, from + len)` relative to the entry's own range.
     pub fn slice(&self, from: u64, len: u64) -> ExtentList {
@@ -112,46 +135,198 @@ impl ClassUsage {
     }
 }
 
+/// Dead slots a class may carry beyond its live entry count before it
+/// renumbers its LRU positions. Small on purpose: the slot array and
+/// bitmaps are per server, so slack costs memory on every server.
+const LRU_SLACK: usize = 64;
+
+/// Marks a slot whose entry moved to a newer position or left.
+const DEAD: EntryId = EntryId::MAX;
+
+/// A set of LRU positions: one bit per position, plus the index of the
+/// first non-zero word, so the smallest member is one load away.
+#[derive(Debug, Default)]
+struct PosSet {
+    words: Vec<u64>,
+    /// Every word before `first` is zero, and `words[first]` is not
+    /// (or `first == words.len()` when the set is empty).
+    first: usize,
+    len: usize,
+}
+
+impl PosSet {
+    fn contains(&self, pos: usize) -> bool {
+        self.words
+            .get(pos / 64)
+            .is_some_and(|w| w & (1 << (pos % 64)) != 0)
+    }
+
+    fn insert(&mut self, pos: usize) {
+        let w = pos / 64;
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
+        debug_assert!(!self.contains(pos), "position {pos} already set");
+        self.words[w] |= 1 << (pos % 64);
+        self.first = if self.len == 0 { w } else { self.first.min(w) };
+        self.len += 1;
+    }
+
+    /// Clears `pos`, returning whether it was set.
+    fn remove(&mut self, pos: usize) -> bool {
+        if !self.contains(pos) {
+            return false;
+        }
+        let w = pos / 64;
+        self.words[w] &= !(1 << (pos % 64));
+        self.len -= 1;
+        if w == self.first {
+            self.skip_zero_words();
+        }
+        true
+    }
+
+    fn skip_zero_words(&mut self) {
+        while self.words.get(self.first).is_some_and(|&w| w == 0) {
+            self.first += 1;
+        }
+    }
+
+    /// The smallest member.
+    fn first(&self) -> Option<usize> {
+        let w = self.words.get(self.first)?;
+        Some(self.first * 64 + w.trailing_zeros() as usize)
+    }
+
+    /// Members in ascending order.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words
+            .iter()
+            .enumerate()
+            .skip(self.first)
+            .flat_map(|(i, &w)| {
+                let mut bits = w;
+                std::iter::from_fn(move || {
+                    (bits != 0).then(|| {
+                        let b = bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        i * 64 + b
+                    })
+                })
+            })
+    }
+
+    /// Moves the member at `from` (if any) to `to <= from`, where `to`
+    /// is known to be clear. Renumbering only; `first` is stale until
+    /// [`PosSet::truncate`] runs.
+    fn relocate(&mut self, from: usize, to: usize) {
+        if from != to && self.contains(from) {
+            self.words[from / 64] &= !(1 << (from % 64));
+            self.words[to / 64] |= 1 << (to % 64);
+        }
+    }
+
+    /// Drops the words past position `positions` and restores `first`.
+    fn truncate(&mut self, positions: usize) {
+        self.words.truncate(positions.div_ceil(64));
+        self.first = 0;
+        self.skip_zero_words();
+    }
+
+    /// Checks the stored count and first-word hint against the bits.
+    fn audit(&self, name: &str) -> Result<(), String> {
+        let bits: usize = self.words.iter().map(|w| w.count_ones() as usize).sum();
+        if bits != self.len {
+            return Err(format!("{name} holds {bits} bits but counts {}", self.len));
+        }
+        let first = self.words.iter().position(|&w| w != 0);
+        if first.unwrap_or(self.words.len()) != self.first {
+            return Err(format!(
+                "{name} first-word hint {} but the first non-zero word is {first:?}",
+                self.first
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// One class's LRU order: positions handed out in increasing order, a
+/// slot array mapping each position back to its entry, and the two
+/// eligibility bitmaps over those positions. An entry sits in
+/// `evictable` when it could be dropped right now (clean, not
+/// flushing, not pending), in `flushable` when it could be flushed
+/// right now (dirty, not flushing, not pending), and in neither while an
+/// admission or writeback is in flight.
+#[derive(Debug, Default)]
+struct ClassLru {
+    slots: Vec<EntryId>,
+    evictable: PosSet,
+    flushable: PosSet,
+}
+
+impl ClassLru {
+    /// Hands the next position to `id`.
+    fn push(&mut self, id: EntryId) -> u32 {
+        self.slots.push(id);
+        u32::try_from(self.slots.len() - 1).expect("LRU position overflow")
+    }
+
+    /// Renumbers the live slots densely, in order, when dead slots
+    /// outnumber the `live` entries by more than [`LRU_SLACK`].
+    fn maybe_renumber(&mut self, live: usize, entries: &mut FxHashMap<EntryId, Entry>) {
+        if self.slots.len() - live <= live + LRU_SLACK {
+            return;
+        }
+        let mut next = 0;
+        for pos in 0..self.slots.len() {
+            let id = self.slots[pos];
+            if id == DEAD {
+                continue;
+            }
+            self.slots[next] = id;
+            self.evictable.relocate(pos, next);
+            self.flushable.relocate(pos, next);
+            entries.get_mut(&id).expect("live slot").lru_pos = next as u32;
+            next += 1;
+        }
+        debug_assert_eq!(next, live);
+        self.slots.truncate(next);
+        self.evictable.truncate(next);
+        self.flushable.truncate(next);
+    }
+}
+
 /// The mapping table.
 ///
-/// Besides the id → entry map, three indexes keep every hot query
-/// sub-linear: `by_range` (per-file offset order) answers hit and
-/// overlap lookups, and two per-class LRU-ordered *eligibility* sets
-/// answer eviction and writeback candidate queries in O(log n) — an
-/// entry sits in `evictable` when it could be dropped right now
-/// (clean, not flushing, not pending), in `dirty_lru` when it could be
-/// flushed right now (dirty, not flushing, not pending), and in
-/// neither while an admission or writeback is in flight. The sets are
-/// keyed by `(lru_seq, id)`, so iteration order *is* LRU order and the
-/// picked candidates match what a linear scan over a single LRU list
-/// would have found.
+/// Besides the id → entry map, two indexes keep every hot query O(1) or
+/// one tree descent:
+///
+/// * `by_range` (per file, offset → end and id) answers hit and overlap
+///   lookups;
+/// * one `ClassLru` per class answers eviction and writeback
+///   candidate queries from its eligibility bitmaps. Positions order
+///   entries exactly as a single LRU list per class would, so the picked
+///   candidates match what a linear scan over that list would find.
 #[derive(Debug, Default)]
 pub struct MappingTable {
     entries: FxHashMap<EntryId, Entry>,
-    by_range: FxHashMap<FileHandle, BTreeMap<u64, EntryId>>,
-    evictable: [BTreeSet<(u64, EntryId)>; 2],
-    dirty_lru: [BTreeSet<(u64, EntryId)>; 2],
-    /// Multiset of the lengths of the entries in each `dirty_lru` set
+    by_range: FxHashMap<FileHandle, BTreeMap<u64, (u64, EntryId)>>,
+    lru: [ClassLru; 2],
+    /// Multiset of the lengths of the flushable entries of each class
     /// (len -> count). Its smallest key bounds what any remaining walk
-    /// candidate could contribute, letting `dirty_batch` stop scanning
-    /// the moment the byte budget drops below it.
+    /// candidate could contribute, letting `dirty_batch` stop
+    /// scanning the moment the byte budget drops below it.
     dirty_len_hist: [BTreeMap<u64, u32>; 2],
     usage: [ClassUsage; 2],
     dirty_bytes: u64,
     next_id: EntryId,
-    next_seq: u64,
 }
 
-/// Drops `e`'s key from whichever eligibility set holds it.
-fn unindex(
-    evictable: &mut [BTreeSet<(u64, EntryId)>; 2],
-    dirty_lru: &mut [BTreeSet<(u64, EntryId)>; 2],
-    dirty_len_hist: &mut [BTreeMap<u64, u32>; 2],
-    e: &Entry,
-) {
-    let key = (e.lru_seq, e.id);
+/// Drops `e` from whichever eligibility bitmap holds it.
+fn unindex(lru: &mut [ClassLru; 2], dirty_len_hist: &mut [BTreeMap<u64, u32>; 2], e: &Entry) {
     let i = e.typ.idx();
-    if !evictable[i].remove(&key) && dirty_lru[i].remove(&key) {
+    let c = &mut lru[i];
+    if !c.evictable.remove(e.pos()) && c.flushable.remove(e.pos()) {
         match dirty_len_hist[i].get_mut(&e.len) {
             Some(n) if *n > 1 => *n -= 1,
             _ => {
@@ -161,23 +336,17 @@ fn unindex(
     }
 }
 
-/// Files `e` into the eligibility set its flags call for, if any.
-fn index(
-    evictable: &mut [BTreeSet<(u64, EntryId)>; 2],
-    dirty_lru: &mut [BTreeSet<(u64, EntryId)>; 2],
-    dirty_len_hist: &mut [BTreeMap<u64, u32>; 2],
-    e: &Entry,
-) {
+/// Files `e` into the eligibility bitmap its flags call for, if any.
+fn index(lru: &mut [ClassLru; 2], dirty_len_hist: &mut [BTreeMap<u64, u32>; 2], e: &Entry) {
     if e.flushing || e.pending {
         return;
     }
-    let key = (e.lru_seq, e.id);
     let i = e.typ.idx();
     if e.dirty {
-        dirty_lru[i].insert(key);
+        lru[i].flushable.insert(e.pos());
         *dirty_len_hist[i].entry(e.len).or_insert(0) += 1;
     } else {
-        evictable[i].insert(key);
+        lru[i].evictable.insert(e.pos());
     }
 }
 
@@ -215,7 +384,8 @@ impl MappingTable {
         id
     }
 
-    /// Inserts a new entry.
+    /// Inserts a new entry at the most-recent end of its class's LRU
+    /// order.
     ///
     /// # Panics
     ///
@@ -237,13 +407,13 @@ impl MappingTable {
         log_seq: u64,
     ) {
         assert!(len > 0, "empty entry");
+        assert_ne!(id, DEAD, "entry id reserved for dead LRU slots");
         // Call sites resolve overlaps before inserting; a range probe per
         // insert is hot-path cost, so only check in debug builds.
         debug_assert!(
             !self.has_overlap(file, offset, len),
             "inserting over an existing entry"
         );
-        self.next_seq += 1;
         let entry = Entry {
             id,
             file,
@@ -256,14 +426,9 @@ impl MappingTable {
             flushing: false,
             pending,
             log_seq,
-            lru_seq: self.next_seq,
+            lru_pos: self.lru[typ.idx()].push(id),
         };
-        index(
-            &mut self.evictable,
-            &mut self.dirty_lru,
-            &mut self.dirty_len_hist,
-            &entry,
-        );
+        index(&mut self.lru, &mut self.dirty_len_hist, &entry);
         let u = &mut self.usage[typ.idx()];
         u.bytes += len;
         u.entries += 1;
@@ -273,19 +438,19 @@ impl MappingTable {
         }
         let prev = self.entries.insert(id, entry);
         assert!(prev.is_none(), "duplicate entry id");
-        self.by_range.entry(file).or_default().insert(offset, id);
+        self.by_range
+            .entry(file)
+            .or_default()
+            .insert(offset, (offset + len, id));
     }
 
     /// Removes an entry, returning it.
     pub fn remove(&mut self, id: EntryId) -> Option<Entry> {
         let entry = self.entries.remove(&id)?;
-        unindex(
-            &mut self.evictable,
-            &mut self.dirty_lru,
-            &mut self.dirty_len_hist,
-            &entry,
-        );
-        let u = &mut self.usage[entry.typ.idx()];
+        let i = entry.typ.idx();
+        unindex(&mut self.lru, &mut self.dirty_len_hist, &entry);
+        self.lru[i].slots[entry.pos()] = DEAD;
+        let u = &mut self.usage[i];
         u.bytes -= entry.len;
         u.entries -= 1;
         u.ret_sum -= entry.ret;
@@ -295,6 +460,7 @@ impl MappingTable {
         if let Some(m) = self.by_range.get_mut(&entry.file) {
             m.remove(&entry.offset);
         }
+        self.lru[i].maybe_renumber(u.entries as usize, &mut self.entries);
         Some(entry)
     }
 
@@ -303,54 +469,56 @@ impl MappingTable {
         self.entries.get(&id)
     }
 
-    /// Marks use for LRU.
+    /// Marks use for LRU: the entry moves to the most-recent position
+    /// of its class, keeping its eligibility.
     pub fn touch(&mut self, id: EntryId) {
-        let Some(entry) = self.entries.get_mut(&id) else {
+        let Some(e) = self.entries.get_mut(&id) else {
             return;
         };
-        self.next_seq += 1;
-        unindex(
-            &mut self.evictable,
-            &mut self.dirty_lru,
-            &mut self.dirty_len_hist,
-            entry,
-        );
-        entry.lru_seq = self.next_seq;
-        index(
-            &mut self.evictable,
-            &mut self.dirty_lru,
-            &mut self.dirty_len_hist,
-            entry,
-        );
+        let i = e.typ.idx();
+        let c = &mut self.lru[i];
+        let old = e.pos();
+        let evictable = c.evictable.remove(old);
+        let flushable = c.flushable.remove(old);
+        c.slots[old] = DEAD;
+        e.lru_pos = c.push(id);
+        if evictable {
+            c.evictable.insert(e.pos());
+        }
+        if flushable {
+            c.flushable.insert(e.pos());
+        }
+        c.maybe_renumber(self.usage[i].entries as usize, &mut self.entries);
     }
 
     /// Finds the single *servable* (non-pending) entry fully covering
-    /// `[offset, offset + len)` of `file`, if any.
+    /// `[offset, offset + len)` of `file`, if any. The entry map is
+    /// probed only once the range index shows a cover.
     pub fn lookup_covering(&self, file: FileHandle, offset: u64, len: u64) -> Option<&Entry> {
-        let m = self.by_range.get(&file)?;
-        let (_, &id) = m.range(..=offset).next_back()?;
+        let (_, &(end, id)) = self.by_range.get(&file)?.range(..=offset).next_back()?;
+        if offset + len > end {
+            return None;
+        }
         let e = self.entries.get(&id).expect("index points at live entry");
-        (!e.pending && e.offset <= offset && offset + len <= e.offset + e.len).then_some(e)
+        (!e.pending).then_some(e)
     }
 
     /// True when any entry overlaps `[offset, offset + len)` of `file`.
-    /// O(log n), no allocation — the hot-path form of overlap checking.
+    /// One descent, no allocation — the hot-path form of overlap
+    /// checking: only the last entry starting before the range's end can
+    /// reach into it, since ends ascend with offsets.
     pub fn has_overlap(&self, file: FileHandle, offset: u64, len: u64) -> bool {
-        let Some(m) = self.by_range.get(&file) else {
-            return false;
-        };
-        if let Some((_, &id)) = m.range(..offset).next_back() {
-            let e = &self.entries[&id];
-            if e.offset + e.len > offset {
-                return true;
-            }
-        }
-        m.range(offset..offset + len).next().is_some()
+        self.by_range.get(&file).is_some_and(|m| {
+            m.range(..offset + len)
+                .next_back()
+                .is_some_and(|(_, &(end, _))| end > offset)
+        })
     }
 
     /// Appends the ids of all entries overlapping `[offset, offset +
     /// len)` of `file` to `out` (a caller-owned scratch buffer, so
-    /// steady-state invalidation allocates nothing).
+    /// steady-state invalidation allocates nothing), in ascending offset
+    /// order.
     pub fn find_overlaps_into(
         &self,
         file: FileHandle,
@@ -361,15 +529,14 @@ impl MappingTable {
         let Some(m) = self.by_range.get(&file) else {
             return;
         };
-        if let Some((_, &id)) = m.range(..offset).next_back() {
-            let e = &self.entries[&id];
-            if e.offset + e.len > offset {
-                out.push(id);
+        let start = out.len();
+        for (_, &(end, id)) in m.range(..offset + len).rev() {
+            if end <= offset {
+                break;
             }
-        }
-        for (_, &id) in m.range(offset..offset + len) {
             out.push(id);
         }
+        out[start..].reverse();
     }
 
     /// Ids of all entries overlapping `[offset, offset + len)` of `file`.
@@ -380,108 +547,88 @@ impl MappingTable {
     }
 
     /// The least-recently-used *evictable* entry of a class: not dirty,
-    /// not flushing, not pending. O(log n) — the first element of the
-    /// class's evictable set is the oldest by construction.
+    /// not flushing, not pending — the first set bit of the class's
+    /// evictable bitmap.
     pub fn lru_victim(&self, typ: EntryType) -> Option<EntryId> {
-        self.evictable[typ.idx()].first().map(|&(_, id)| id)
+        let c = &self.lru[typ.idx()];
+        c.evictable.first().map(|pos| c.slots[pos])
     }
 
-    /// The oldest dirty entries, grouped for writeback. Returns up to
-    /// `max_bytes` worth of entry ids **sorted by home location** so the
+    /// The oldest dirty entries, grouped for writeback. Fills `out`
+    /// (cleared first; a caller-owned scratch buffer, so steady-state
+    /// writeback allocates nothing here) with up to `max_bytes` worth of
+    /// `(file, offset, id)`, **sorted by home location** so the
     /// resulting disk writes are as sequential as possible (the paper's
-    /// writeback scheduling). Only flush-eligible entries are visited
-    /// (via the per-class dirty sets), and each candidate's sort key is
-    /// captured during that walk, so the batch is built with one pass
-    /// and one sort — no per-candidate table lookups afterwards.
-    pub fn dirty_batch(&self, max_bytes: u64) -> Vec<EntryId> {
-        let mut picked: Vec<(FileHandle, u64, EntryId)> = Vec::new();
+    /// writeback scheduling). Only flush-eligible entries are visited,
+    /// each class in LRU order, walking its flushable bitmap.
+    pub fn dirty_batch(&self, max_bytes: u64, out: &mut Vec<(FileHandle, u64, EntryId)>) {
+        out.clear();
         let mut budget = max_bytes;
-        for (i, dirty) in self.dirty_lru.iter().enumerate() {
+        for (c, hist) in self.lru.iter().zip(&self.dirty_len_hist) {
             // Once the budget drops below the smallest dirty length of
             // the class, no remaining candidate can be picked — stop
             // instead of scanning the (possibly huge) LRU tail. The
             // histogram minimum covers the whole set, so this prunes
             // exactly the iterations whose `continue` branch would fire.
-            let Some((&min_len, _)) = self.dirty_len_hist[i].iter().next() else {
+            let Some((&min_len, _)) = hist.iter().next() else {
                 continue;
             };
-            for &(_, id) in dirty.iter() {
+            for pos in c.flushable.iter() {
                 if budget < min_len {
                     break;
                 }
-                let e = &self.entries[&id];
+                let e = &self.entries[&c.slots[pos]];
                 debug_assert!(e.dirty && !e.flushing && !e.pending);
                 if e.len > budget {
                     continue;
                 }
                 budget -= e.len;
-                picked.push((e.file, e.offset, id));
+                out.push((e.file, e.offset, e.id));
             }
         }
         // Offsets are unique per file (overlapping inserts are refused),
         // so the unstable sort is deterministic.
-        picked.sort_unstable();
-        picked.into_iter().map(|(_, _, id)| id).collect()
+        out.sort_unstable();
+    }
+
+    /// The flush-eligible entries (dirty, not flushing, not pending),
+    /// fragment class first, each class in LRU order. O(flushable).
+    pub fn flushable(&self) -> impl Iterator<Item = &Entry> + '_ {
+        self.lru.iter().flat_map(move |c| {
+            c.flushable
+                .iter()
+                .map(move |pos| &self.entries[&c.slots[pos]])
+        })
     }
 
     /// Sets the flushing flag.
     pub fn set_flushing(&mut self, id: EntryId, flushing: bool) {
         if let Some(e) = self.entries.get_mut(&id) {
-            unindex(
-                &mut self.evictable,
-                &mut self.dirty_lru,
-                &mut self.dirty_len_hist,
-                e,
-            );
+            unindex(&mut self.lru, &mut self.dirty_len_hist, e);
             e.flushing = flushing;
-            index(
-                &mut self.evictable,
-                &mut self.dirty_lru,
-                &mut self.dirty_len_hist,
-                e,
-            );
+            index(&mut self.lru, &mut self.dirty_len_hist, e);
         }
     }
 
     /// Marks an entry clean (writeback finished).
     pub fn mark_clean(&mut self, id: EntryId) {
         if let Some(e) = self.entries.get_mut(&id) {
-            unindex(
-                &mut self.evictable,
-                &mut self.dirty_lru,
-                &mut self.dirty_len_hist,
-                e,
-            );
+            unindex(&mut self.lru, &mut self.dirty_len_hist, e);
             if e.dirty {
                 e.dirty = false;
                 self.dirty_bytes -= e.len;
             }
             e.flushing = false;
-            index(
-                &mut self.evictable,
-                &mut self.dirty_lru,
-                &mut self.dirty_len_hist,
-                e,
-            );
+            index(&mut self.lru, &mut self.dirty_len_hist, e);
         }
     }
 
     /// Clears the pending flag (admission write finished).
     pub fn activate(&mut self, id: EntryId) {
         if let Some(e) = self.entries.get_mut(&id) {
-            unindex(
-                &mut self.evictable,
-                &mut self.dirty_lru,
-                &mut self.dirty_len_hist,
-                e,
-            );
+            unindex(&mut self.lru, &mut self.dirty_len_hist, e);
             e.pending = false;
-            index(
-                &mut self.evictable,
-                &mut self.dirty_lru,
-                &mut self.dirty_len_hist,
-                e,
-            );
+            index(&mut self.lru, &mut self.dirty_len_hist, e);
         }
     }
 
@@ -500,16 +647,18 @@ impl MappingTable {
     }
 
     /// Cross-checks every derived structure against the entry map: the
-    /// per-class usage and dirty-byte accounting, the `by_range` index,
-    /// and the LRU eligibility sets (each entry in exactly the set its
-    /// flags call for, and no stale keys left behind). Used by the
-    /// online invariant auditor; returns a diagnostic on the first
+    /// per-class usage and dirty-byte accounting, the `by_range` index
+    /// (offset, end and id of every entry), and the LRU positions (each
+    /// entry's slot maps back to it, each entry in exactly the bitmap
+    /// its flags call for, bitmap counts and first-word hints matching
+    /// their bits, and dead slots within the renumbering bound). Used by
+    /// the online invariant auditor; returns a diagnostic on the first
     /// violation found.
     pub fn audit(&self) -> Result<(), String> {
         let mut usage = [ClassUsage::default(); 2];
         let mut dirty_bytes = 0u64;
         let mut want_evictable = [0usize; 2];
-        let mut want_dirty_lru = [0usize; 2];
+        let mut want_flushable = [0usize; 2];
         for (&id, e) in &self.entries {
             if id != e.id {
                 return Err(format!("entry keyed {id} carries id {}", e.id));
@@ -526,53 +675,73 @@ impl MappingTable {
                 .get(&e.file)
                 .and_then(|m| m.get(&e.offset))
                 .copied()
-                != Some(id)
+                != Some((e.offset + e.len, id))
             {
                 return Err(format!(
-                    "entry {id} ({:?} @{}) missing from the by_range index",
-                    e.file, e.offset
+                    "entry {id} ({:?} @{}+{}) missing from the by_range index",
+                    e.file, e.offset, e.len
                 ));
             }
-            let key = (e.lru_seq, id);
             let i = e.typ.idx();
-            let (want_ev, want_dl) = if e.flushing || e.pending {
+            let c = &self.lru[i];
+            if c.slots.get(e.pos()) != Some(&id) {
+                return Err(format!(
+                    "entry {id}'s LRU position {} maps to {:?}",
+                    e.lru_pos,
+                    c.slots.get(e.pos())
+                ));
+            }
+            let (want_ev, want_fl) = if e.flushing || e.pending {
                 (false, false)
             } else if e.dirty {
                 (false, true)
             } else {
                 (true, false)
             };
-            if self.evictable[i].contains(&key) != want_ev
-                || self.dirty_lru[i].contains(&key) != want_dl
+            if c.evictable.contains(e.pos()) != want_ev || c.flushable.contains(e.pos()) != want_fl
             {
                 return Err(format!(
-                    "entry {id} (dirty={} flushing={} pending={}) misfiled in the LRU sets",
+                    "entry {id} (dirty={} flushing={} pending={}) misfiled in the LRU bitmaps",
                     e.dirty, e.flushing, e.pending
                 ));
             }
             want_evictable[i] += usize::from(want_ev);
-            want_dirty_lru[i] += usize::from(want_dl);
+            want_flushable[i] += usize::from(want_fl);
         }
         for i in 0..2 {
-            if self.evictable[i].len() != want_evictable[i] {
+            let c = &self.lru[i];
+            c.evictable.audit(&format!("class {i} evictable bitmap"))?;
+            c.flushable.audit(&format!("class {i} flushable bitmap"))?;
+            if c.evictable.len != want_evictable[i] {
                 return Err(format!(
-                    "class {i} evictable set holds {} keys, expected {}",
-                    self.evictable[i].len(),
-                    want_evictable[i]
+                    "class {i} evictable bitmap holds {} positions, expected {}",
+                    c.evictable.len, want_evictable[i]
                 ));
             }
-            if self.dirty_lru[i].len() != want_dirty_lru[i] {
+            if c.flushable.len != want_flushable[i] {
                 return Err(format!(
-                    "class {i} dirty set holds {} keys, expected {}",
-                    self.dirty_lru[i].len(),
-                    want_dirty_lru[i]
+                    "class {i} flushable bitmap holds {} positions, expected {}",
+                    c.flushable.len, want_flushable[i]
+                ));
+            }
+            let live = c.slots.iter().filter(|&&id| id != DEAD).count();
+            if live as u64 != usage[i].entries {
+                return Err(format!(
+                    "class {i} has {live} live LRU slots for {} entries",
+                    usage[i].entries
+                ));
+            }
+            if c.slots.len() - live > live + LRU_SLACK {
+                return Err(format!(
+                    "class {i} carries {} dead LRU slots for {live} live ones",
+                    c.slots.len() - live
                 ));
             }
             let hist_total: u64 = self.dirty_len_hist[i].values().map(|&n| n as u64).sum();
-            if hist_total != want_dirty_lru[i] as u64 {
+            if hist_total != want_flushable[i] as u64 {
                 return Err(format!(
                     "class {i} dirty length histogram counts {hist_total} entries, expected {}",
-                    want_dirty_lru[i]
+                    want_flushable[i]
                 ));
             }
             if usage[i].bytes != self.usage[i].bytes || usage[i].entries != self.usage[i].entries {
@@ -756,16 +925,17 @@ mod tests {
             (0, 1000, EntryType::Fragment, true),
             (5000, 1000, EntryType::Random, true),
         ]);
-        let batch = t.dirty_batch(u64::MAX);
-        let offsets: Vec<u64> = batch.iter().map(|id| t.get(*id).unwrap().offset).collect();
+        let mut batch = Vec::new();
+        t.dirty_batch(u64::MAX, &mut batch);
+        let offsets: Vec<u64> = batch.iter().map(|&(_, offset, _)| offset).collect();
         assert_eq!(offsets, vec![0, 5000, 9000]);
         // Bounded by bytes.
-        let batch = t.dirty_batch(2000);
+        t.dirty_batch(2000, &mut batch);
         assert_eq!(batch.len(), 2);
         // Flushing entries are excluded.
-        t.set_flushing(batch[0], true);
-        let again = t.dirty_batch(u64::MAX);
-        assert_eq!(again.len(), 2);
+        t.set_flushing(batch[0].2, true);
+        t.dirty_batch(u64::MAX, &mut batch);
+        assert_eq!(batch.len(), 2);
     }
 
     #[test]
@@ -791,7 +961,7 @@ mod tests {
             flushing: false,
             pending: false,
             log_seq: 0,
-            lru_seq: 0,
+            lru_pos: 0,
         };
         // Full range.
         assert_eq!(e.slice(0, 20 * 512), e.extents);
@@ -863,11 +1033,76 @@ mod tests {
     }
 
     #[test]
-    fn audit_catches_stale_lru_keys() {
+    fn audit_catches_stale_lru_bits() {
         let mut t = table_with(&[(0, 1000, EntryType::Random, false)]);
-        // A stale key with no matching entry state.
-        t.evictable[EntryType::Random.idx()].insert((999, 999));
-        assert!(t.audit().is_err());
+        t.touch(0); // position 0 is now a dead slot
+        t.audit().expect("touched table is consistent");
+        // A stale bit at the dead slot, with no entry behind it.
+        t.lru[EntryType::Random.idx()].evictable.insert(0);
+        let err = t.audit().unwrap_err();
+        assert!(err.contains("evictable bitmap holds 2"), "got: {err}");
+    }
+
+    #[test]
+    fn audit_catches_a_wrong_range_end() {
+        let mut t = table_with(&[(0, 1000, EntryType::Random, false)]);
+        t.by_range.get_mut(&F).unwrap().insert(0, (999, 0));
+        let err = t.audit().unwrap_err();
+        assert!(err.contains("by_range"), "got: {err}");
+    }
+
+    #[test]
+    fn renumbering_keeps_lru_order() {
+        // Three clean entries and one dirty one; touching them round
+        // robin leaves a dead slot per use until the class renumbers.
+        let mut t = table_with(&[
+            (0, 1000, EntryType::Fragment, false),
+            (2000, 1000, EntryType::Fragment, false),
+            (4000, 1000, EntryType::Fragment, true),
+            (6000, 1000, EntryType::Fragment, false),
+        ]);
+        for round in 0..100u64 {
+            t.touch(round % 4);
+            t.audit().expect("consistent after every touch");
+        }
+        let c = &t.lru[EntryType::Fragment.idx()];
+        assert!(
+            c.slots.len() <= 2 * 4 + LRU_SLACK,
+            "dead slots were reclaimed"
+        );
+        // Last touched: 3 (round 99), 2, 1, 0 — so 0 is the oldest.
+        assert_eq!(t.lru_victim(EntryType::Fragment), Some(0));
+        t.touch(0);
+        // 1 is the oldest clean entry now; 2 is dirty.
+        assert_eq!(t.lru_victim(EntryType::Fragment), Some(1));
+        t.remove(1);
+        assert_eq!(t.lru_victim(EntryType::Fragment), Some(3));
+        let mut batch = Vec::new();
+        t.dirty_batch(u64::MAX, &mut batch);
+        assert_eq!(batch, vec![(F, 4000, 2)]);
+    }
+
+    #[test]
+    fn entry_stays_compact() {
+        assert_eq!(std::mem::size_of::<Entry>(), 120);
+    }
+
+    #[test]
+    fn position_set_tracks_its_first_word() {
+        let mut s = PosSet::default();
+        assert_eq!(s.first(), None);
+        s.insert(200);
+        s.insert(70);
+        assert_eq!(s.first(), Some(70));
+        assert!(s.remove(70));
+        assert!(!s.remove(70));
+        assert_eq!(s.first(), Some(200));
+        s.insert(3);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 200]);
+        s.audit("s").unwrap();
+        assert!(s.remove(3) && s.remove(200));
+        assert_eq!(s.first(), None);
+        s.audit("s").unwrap();
     }
 
     #[test]

@@ -106,7 +106,7 @@ cargo build --release -p ibridge-bench --features count-allocs
 ./target/release/expt --bench-report /tmp/ibridge_ci_bench_obs_on.json summary \
   >/dev/null 2>&1
 
-echo "== bench-diff vs BENCH_pr12.json (rates annotate, allocs/event and peak bytes gate)"
+echo "== bench-diff vs BENCH_pr13.json (rates annotate, allocs/event and peak bytes gate)"
 # Fresh full-suite self-benchmark under the counting allocator, same
 # parameters as the committed baseline.
 ./target/release/expt --seed 42 --jobs 8 --shards 4 --threads 4 \
@@ -114,13 +114,13 @@ echo "== bench-diff vs BENCH_pr12.json (rates annotate, allocs/event and peak by
 # Wall-clock rates are host-noisy (same-binary reruns drift by tens of
 # percent on shared runners): print the comparison for review, never
 # fail on it.
-./scripts/bench-diff.sh BENCH_pr12.json /tmp/ibridge_ci_bench_fresh.json \
+./scripts/bench-diff.sh BENCH_pr13.json /tmp/ibridge_ci_bench_fresh.json \
   || echo "bench-diff: rate drift is informational only (host noise)"
 # allocs/event and the jobs-1 peak live heap are deterministic, so they
 # gate hard: +10% per experiment. --threshold 101 disables the rate
 # gate (a rate regression is bounded at -100%), leaving allocs/event
 # and peak bytes as the only failure conditions.
-./scripts/bench-diff.sh BENCH_pr12.json /tmp/ibridge_ci_bench_fresh.json \
+./scripts/bench-diff.sh BENCH_pr13.json /tmp/ibridge_ci_bench_fresh.json \
   --threshold 101 --alloc-threshold 10 --peak-threshold 10 >/dev/null
 
 cargo build --release -p ibridge-bench --no-default-features --features count-allocs

@@ -8,6 +8,58 @@ use proptest::prelude::*;
 
 const KB: u64 = 1024;
 
+/// One entry of the naive mapping-table model: plain fields, LRU order
+/// by last-use clock, every query a linear scan.
+#[derive(Debug)]
+struct ModelEntry {
+    id: u64,
+    file: FileHandle,
+    offset: u64,
+    len: u64,
+    typ: EntryType,
+    dirty: bool,
+    flushing: bool,
+    pending: bool,
+    used: u64,
+}
+
+impl ModelEntry {
+    fn overlaps(&self, offset: u64, len: u64) -> bool {
+        self.offset < offset + len && offset < self.offset + self.len
+    }
+
+    fn evictable(&self) -> bool {
+        !self.dirty && !self.flushing && !self.pending
+    }
+
+    fn flushable(&self) -> bool {
+        self.dirty && !self.flushing && !self.pending
+    }
+}
+
+/// The model's writeback batch: walk each class's flush-eligible
+/// entries oldest first, taking every one that still fits the budget,
+/// then order the picks by home location.
+fn model_dirty_batch(model: &[ModelEntry], max_bytes: u64) -> Vec<(FileHandle, u64, u64)> {
+    let mut budget = max_bytes;
+    let mut picked = Vec::new();
+    for typ in [EntryType::Fragment, EntryType::Random] {
+        let mut class: Vec<&ModelEntry> = model
+            .iter()
+            .filter(|m| m.typ == typ && m.flushable())
+            .collect();
+        class.sort_by_key(|m| m.used);
+        for m in class {
+            if m.len <= budget {
+                budget -= m.len;
+                picked.push((m.file, m.offset, m.id));
+            }
+        }
+    }
+    picked.sort();
+    picked
+}
+
 proptest! {
     /// Striping decomposition conserves length, produces at most one
     /// piece per server, and every piece maps back to the right server.
@@ -239,6 +291,139 @@ proptest! {
             (offset + len, probe_len),
         ] {
             prop_assert_eq!(t.has_overlap(file, o, l), !t.find_overlaps(file, o, l).is_empty());
+        }
+    }
+
+    /// MappingTable against a naive model: random inserts, touches,
+    /// removals and flag flips over both classes and two files, with
+    /// enough touches on a small live set to force several renumberings
+    /// of the LRU positions. After every operation the table's victim,
+    /// writeback batch (random budget), flushable walk, covering lookup
+    /// and overlap queries must equal the model's linear scans, and the
+    /// table's own audit must pass.
+    #[test]
+    fn mapping_table_matches_a_naive_model(
+        ops in prop::collection::vec((0u8..12, any::<u64>(), any::<u64>()), 400..900),
+    ) {
+        let mut t = MappingTable::new();
+        let mut model: Vec<ModelEntry> = Vec::new();
+        let mut clock = 0u64;
+        for &(kind, a, b) in &ops {
+            // An existing entry, or (one time in nine) an id the table
+            // does not hold — every mutator must tolerate those.
+            let pick = (a % (model.len() as u64 + 1)) as usize;
+            let target = model.get(pick).map_or(u64::MAX - 1, |m| m.id);
+            clock += 1;
+            match kind {
+                0..=2 => {
+                    let file = FileHandle(1 + a % 2);
+                    let offset = (a >> 8) % 48 * 4 * KB + b % 3 * 1000;
+                    let len = 1 + (b >> 8) % (12 * KB);
+                    let typ = if b >> 40 & 1 == 0 { EntryType::Fragment } else { EntryType::Random };
+                    let (dirty, pending) = (b >> 41 & 1 == 1, b >> 42 & 3 == 0);
+                    if model.iter().any(|m| m.file == file && m.overlaps(offset, len)) {
+                        continue; // callers resolve overlaps before inserting
+                    }
+                    let id = t.next_id();
+                    t.insert(
+                        id, file, offset, len,
+                        ibridge_repro::localfs::ExtentList::one(
+                            ibridge_repro::localfs::Extent { lbn: id * 64, sectors: len.div_ceil(512) },
+                        ),
+                        typ, 0.001, dirty, pending, id,
+                    );
+                    model.push(ModelEntry {
+                        id, file, offset, len, typ, dirty, pending,
+                        flushing: false, used: clock,
+                    });
+                }
+                3..=7 => {
+                    t.touch(target);
+                    if let Some(m) = model.get_mut(pick) {
+                        m.used = clock;
+                    }
+                }
+                8 => {
+                    let got = t.remove(target).map(|e| e.id);
+                    let want = (pick < model.len()).then(|| model.remove(pick).id);
+                    prop_assert_eq!(got, want);
+                }
+                9 => {
+                    let flushing = b & 1 == 1;
+                    t.set_flushing(target, flushing);
+                    if let Some(m) = model.get_mut(pick) {
+                        m.flushing = flushing;
+                    }
+                }
+                10 => {
+                    t.mark_clean(target);
+                    if let Some(m) = model.get_mut(pick) {
+                        m.dirty = false;
+                        m.flushing = false;
+                    }
+                }
+                _ => {
+                    t.activate(target);
+                    if let Some(m) = model.get_mut(pick) {
+                        m.pending = false;
+                    }
+                }
+            }
+            if let Err(e) = t.audit() {
+                return Err(TestCaseError::fail(format!("audit after op {kind}: {e}")));
+            }
+
+            // Eviction and writeback candidates.
+            for typ in [EntryType::Fragment, EntryType::Random] {
+                let want = model
+                    .iter()
+                    .filter(|m| m.typ == typ && m.evictable())
+                    .min_by_key(|m| m.used)
+                    .map(|m| m.id);
+                prop_assert_eq!(t.lru_victim(typ), want);
+            }
+            let dirty_total: u64 = model.iter().filter(|m| m.flushable()).map(|m| m.len).sum();
+            let budget = match b % 4 {
+                0 => u64::MAX,
+                _ => a % (dirty_total + 8 * KB),
+            };
+            let mut batch = Vec::new();
+            t.dirty_batch(budget, &mut batch);
+            prop_assert_eq!(batch, model_dirty_batch(&model, budget));
+            let walk: Vec<u64> = t.flushable().map(|e| e.id).collect();
+            let mut want_walk: Vec<&ModelEntry> = model.iter().filter(|m| m.flushable()).collect();
+            want_walk.sort_by_key(|m| (m.typ == EntryType::Random, m.used));
+            prop_assert_eq!(walk, want_walk.iter().map(|m| m.id).collect::<Vec<_>>());
+
+            // Range queries on a probe: random (starting inside, ending
+            // inside, covering or missing entries), or aligned to an
+            // entry's start or end, where off-by-one errors live.
+            let (file, offset, len) = match (model.get(pick), b >> 48 & 3) {
+                (Some(m), 0) => {
+                    let d = (a >> 30) % m.len;
+                    (m.file, m.offset + d, m.len - d)
+                }
+                (Some(m), 1) => (m.file, m.offset, 1 + (a >> 30) % (m.len + 4 * KB)),
+                _ => (FileHandle(1 + (b >> 50) % 2), (b >> 20) % (200 * KB), 1 + (a >> 30) % (16 * KB)),
+            };
+            let covering = model
+                .iter()
+                .find(|m| {
+                    m.file == file && !m.pending
+                        && m.offset <= offset && offset + len <= m.offset + m.len
+                })
+                .map(|m| m.id);
+            prop_assert_eq!(t.lookup_covering(file, offset, len).map(|e| e.id), covering);
+            let mut overlapping: Vec<&ModelEntry> = model
+                .iter()
+                .filter(|m| m.file == file && m.overlaps(offset, len))
+                .collect();
+            overlapping.sort_by_key(|m| m.offset);
+            let want: Vec<u64> = overlapping.iter().map(|m| m.id).collect();
+            let mut got = vec![u64::MAX]; // appends after existing contents
+            t.find_overlaps_into(file, offset, len, &mut got);
+            prop_assert_eq!(&got[1..], &want[..]);
+            prop_assert_eq!(t.has_overlap(file, offset, len), !want.is_empty());
         }
     }
 
