@@ -11,7 +11,6 @@
 //! ```
 
 use ibridge_bench::alloc_count;
-use ibridge_des::pdes::{LpPort, ShardedSimulation};
 use ibridge_des::rng::stream_rng;
 use ibridge_des::{SimDuration, SimTime, Simulation};
 use rand::Rng;
@@ -53,7 +52,7 @@ fn main() {
         // 16th event also schedules-then-cancels (the recheck pattern).
         let d = SimDuration::from_nanos(rng.gen_range(1..1000));
         sim.post_in(d, payload.wrapping_add(1));
-        if dispatched % 16 == 0 {
+        if dispatched.is_multiple_of(16) {
             let id = sim.schedule_at(
                 now + SimDuration::from_nanos(rng.gen_range(1..1000)),
                 u64::MAX,
@@ -94,34 +93,22 @@ fn main() {
         }
     );
 
-    // PDES microbench: the same event volume as a cross-LP ping-pong
-    // ring through the sharded engine, swept over shard and thread
-    // counts. Every combination must print the same digest — the
-    // committed golden is itself a determinism proof for the threaded
-    // driver. Throughput goes to stderr like the serial figures.
-    for shards in [1usize, 2, 4, 8] {
-        for threads in [1usize, 4] {
-            let (digest, events, wall, windows, barriers) = pdes_ring(total, shards, threads);
-            println!(
-                "calbench pdes events={events} nodes={PDES_NODES} \
-                 shards={shards} threads={threads} digest={digest:016x}"
-            );
-            eprintln!(
-                "[calbench pdes shards={} threads={}: {:.0} events/s, {:.3}s wall, \
-                 {} window(s), {} barrier(s)]",
-                shards,
-                threads,
-                events as f64 / wall.max(1e-9),
-                wall,
-                windows,
-                barriers,
-            );
-        }
-    }
+    // Node-keyed microbench: the same event volume as a ping-pong ring
+    // whose every post names its source node, so same-instant ties break
+    // by the calendar's intrinsic (node, per-node seq) key rather than
+    // by insertion order. Throughput goes to stderr like the FIFO
+    // figures.
+    let (digest, events, wall) = ring(total);
+    println!("calbench ring events={events} nodes={RING_NODES} digest={digest:016x}");
+    eprintln!(
+        "[calbench ring: {:.0} events/s, {:.3}s wall]",
+        events as f64 / wall.max(1e-9),
+        wall,
+    );
 }
 
-/// Nodes in the PDES ring (LP counts divide into this).
-const PDES_NODES: usize = 8;
+/// Nodes in the ring.
+const RING_NODES: usize = 8;
 
 /// One hop of the ring: the payload visits `node`, folds into its
 /// digest, and forwards a mutated payload to the next node.
@@ -131,26 +118,19 @@ struct Hop {
     payload: u64,
 }
 
-/// Runs `total` ring-hop events over `PDES_NODES` nodes packed onto
-/// `shards` LPs with the given executor thread count. Returns the
-/// node-order digest (identical at any shards/threads combination),
-/// the events dispatched, the wall seconds, and the window/barrier
-/// counts of the threaded driver (0/0 when serial).
-fn pdes_ring(total: u64, shards: usize, threads: usize) -> (u64, u64, f64, u64, u64) {
+/// Runs `total` ring-hop events over `RING_NODES` nodes. Returns the
+/// node-order digest, the events dispatched and the wall seconds.
+fn ring(total: u64) -> (u64, u64, f64) {
     const L: SimDuration = SimDuration::from_micros(1);
-    let node_lp: Vec<u32> = (0..PDES_NODES)
-        .map(|i| (i * shards / PDES_NODES) as u32)
-        .collect();
-    let mut sim: ShardedSimulation<Hop> = ShardedSimulation::new(node_lp, L);
+    let mut sim: Simulation<Hop> = Simulation::new();
 
     // Four starters per node; each chain's hop budget splits `total`
-    // exactly, so every combination dispatches the same event count.
-    let starters = (PDES_NODES * 4) as u64;
+    // exactly.
+    let starters = (RING_NODES * 4) as u64;
     let hops = (total / starters).max(1) as u32 - 1;
-    for n in 0..PDES_NODES as u16 {
+    for n in 0..RING_NODES as u16 {
         for k in 0..4u64 {
-            sim.post_at(
-                n,
+            sim.post_from(
                 n,
                 SimTime::ZERO + SimDuration::from_nanos(1 + k * 7 + n as u64),
                 Hop {
@@ -162,50 +142,33 @@ fn pdes_ring(total: u64, shards: usize, threads: usize) -> (u64, u64, f64, u64, 
         }
     }
 
-    // Per-node digest folds: each LP only ever touches the digests of
-    // nodes it owns, so the folds see that node's events in its own
-    // deterministic dispatch order; combining them in node order below
-    // gives one figure independent of how LPs interleaved globally.
-    let handler =
-        |port: &mut LpPort<'_, Hop>, st: &mut [u64; PDES_NODES], now: SimTime, ev: Hop| {
-            let d = &mut st[ev.node as usize];
-            *d = d.wrapping_mul(31).wrapping_add(ev.payload ^ now.as_nanos());
-            if ev.hops > 0 {
-                let dst = ((ev.node as usize + 1) % PDES_NODES) as u16;
-                let at = now + L + SimDuration::from_nanos(ev.payload % 997);
-                port.post_at(
-                    ev.node,
-                    dst,
-                    at,
-                    Hop {
-                        node: dst,
-                        hops: ev.hops - 1,
-                        payload: ev
-                            .payload
-                            .wrapping_mul(6364136223846793005)
-                            .wrapping_add(1442695040888963407),
-                    },
-                );
-            }
-        };
-
-    let mut states = vec![[0u64; PDES_NODES]; sim.n_lps()];
-    let before = sim.dispatched();
+    // Per-node digest folds, combined in node order below.
+    let mut digests = [0u64; RING_NODES];
     let t0 = Instant::now();
-    let (windows, barriers) = if threads > 1 && sim.n_lps() > 1 {
-        let rep = sim.run_threaded(&mut states, threads, handler);
-        (rep.windows, rep.barriers)
-    } else {
-        sim.run_serial(&mut states, handler);
-        (0, 0)
-    };
-    let wall = t0.elapsed().as_secs_f64();
-    let events = sim.dispatched() - before;
-
-    let mut digest = 0u64;
-    for node in 0..PDES_NODES {
-        let lp = node * shards / PDES_NODES;
-        digest = digest.wrapping_mul(31).wrapping_add(states[lp][node]);
+    while let Some((now, ev)) = sim.pop() {
+        let d = &mut digests[ev.node as usize];
+        *d = d.wrapping_mul(31).wrapping_add(ev.payload ^ now.as_nanos());
+        if ev.hops > 0 {
+            let dst = ((ev.node as usize + 1) % RING_NODES) as u16;
+            let at = now + L + SimDuration::from_nanos(ev.payload % 997);
+            sim.post_from(
+                ev.node,
+                at,
+                Hop {
+                    node: dst,
+                    hops: ev.hops - 1,
+                    payload: ev
+                        .payload
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407),
+                },
+            );
+        }
     }
-    (digest, events, wall, windows, barriers)
+    let wall = t0.elapsed().as_secs_f64();
+
+    let digest = digests
+        .iter()
+        .fold(0u64, |acc, &d| acc.wrapping_mul(31).wrapping_add(d));
+    (digest, sim.dispatched(), wall)
 }

@@ -12,8 +12,7 @@
 //! group.
 //!
 //! Election timeouts and fault schedules all derive from the experiment
-//! seed, so the table is byte-identical at any `--jobs`, `--shards` or
-//! `--threads` level.
+//! seed, so the table is byte-identical at any `--jobs` level.
 
 use crate::runpar::par_map;
 use crate::{Scale, Table, FILE_A};
@@ -37,8 +36,6 @@ fn probe(scale: &Scale, replicas: usize, plan: &FaultPlan) -> RunStats {
     let cfg = ClusterConfig {
         n_servers: 4,
         seed: scale.seed,
-        shards: scale.shards,
-        threads: scale.threads,
         audit_interval: scale.audit_interval,
         mds_replicas: replicas,
         report_interval: SimDuration::from_millis(5),

@@ -66,17 +66,6 @@ pub struct Scale {
     pub page_cache: u64,
     /// Experiment seed.
     pub seed: u64,
-    /// Data-server shards (logical processes) per cluster, forwarded to
-    /// every cluster the experiments build (`expt --shards`). Event
-    /// order is intrinsic to the simulated system, so experiment output
-    /// is byte-identical at any shard count.
-    pub shards: usize,
-    /// Executor threads for the intra-run PDES driver (`expt
-    /// --threads`), forwarded to every cluster the experiments build.
-    /// At 1 (or with a single LP) the serial reference driver runs;
-    /// above 1 ready LPs execute concurrently between deterministic
-    /// window barriers. Output is byte-identical at any thread count.
-    pub threads: usize,
     /// A user-supplied fault plan (`expt --fault-plan ...`); the
     /// `faults` experiment adds a row for it next to the builtin plans.
     /// Leaked to `'static` by the CLI so `Scale` stays `Copy`.
@@ -102,8 +91,6 @@ impl Scale {
             ssd_capacity: 10 << 30,
             page_cache: 512 << 10,
             seed: 42,
-            shards: 1,
-            threads: 1,
             fault_plan: None,
             audit_interval: None,
             mds_replicas: 1,
@@ -119,8 +106,6 @@ impl Scale {
             ssd_capacity: 10 << 30,
             page_cache: 8 << 20,
             seed: 42,
-            shards: 1,
-            threads: 1,
             fault_plan: None,
             audit_interval: None,
             mds_replicas: 1,
@@ -138,8 +123,6 @@ pub fn build(system: System, n_servers: usize, scale: &Scale) -> Cluster {
     let cfg = ClusterConfig {
         n_servers,
         seed: scale.seed,
-        shards: scale.shards,
-        threads: scale.threads,
         audit_interval: scale.audit_interval,
         mds_replicas: scale.mds_replicas,
         server: ServerConfig {
@@ -166,8 +149,6 @@ pub fn build_ibridge_with(
     let cfg = ClusterConfig {
         n_servers,
         seed: scale.seed,
-        shards: scale.shards,
-        threads: scale.threads,
         audit_interval: scale.audit_interval,
         mds_replicas: scale.mds_replicas,
         threshold,

@@ -9,8 +9,8 @@
 //! The kernel is deliberately small and generic:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time.
-//! * [`Simulation`] — clock + event calendar with deterministic FIFO
-//!   tie-breaking and cancellation.
+//! * [`Simulation`] — clock + event calendar with cancellation and a
+//!   deterministic, intrinsic tie-break for same-instant events.
 //! * [`rng`] — reproducible per-stream random number generators.
 //! * [`stats`] — counters, EWMA (the paper's 1/8–7/8 decay), histograms.
 //!
@@ -28,7 +28,6 @@
 //! ```
 
 pub mod fxhash;
-pub mod pdes;
 pub mod rng;
 pub mod stats;
 mod time;
@@ -71,6 +70,10 @@ impl EventId {
 /// family: not cancellable, zero slab traffic.
 const NO_SLOT: u32 = u32::MAX;
 
+/// Bits of an event key holding the per-node sequence; the source node
+/// sits above them.
+const SEQ_BITS: u32 = 48;
+
 /// One entry of the cancellation slab. `gen` increments every time the
 /// slot is recycled, invalidating old [`EventId`]s.
 #[derive(Debug, Clone, Copy)]
@@ -81,14 +84,17 @@ struct Slot {
 
 struct Scheduled<E> {
     at: SimTime,
-    seq: u64,
+    /// `(source node) << 48 | (per-node sequence)`: the intrinsic
+    /// tie-break for events at the same instant. Comparing the packed
+    /// word compares `(node, seq)` lexicographically.
+    key: u64,
     slot: u32,
     event: E,
 }
 
 impl<E> PartialEq for Scheduled<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.at == other.at && self.key == other.key
     }
 }
 impl<E> Eq for Scheduled<E> {}
@@ -98,16 +104,28 @@ impl<E> PartialOrd for Scheduled<E> {
     }
 }
 impl<E> Ord for Scheduled<E> {
-    // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops first.
+    // BinaryHeap is a max-heap; invert so the smallest (time, key) pops
+    // first.
     fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+        (other.at, other.key).cmp(&(self.at, self.key))
     }
 }
 
 /// A discrete-event simulation: a virtual clock plus an event calendar.
 ///
-/// `E` is the caller-defined event type. Events scheduled for the same
-/// instant fire in scheduling order (deterministic FIFO tie-break).
+/// `E` is the caller-defined event type.
+///
+/// # Event order
+///
+/// Events pop in `(time, source node, per-node sequence)` order. Every
+/// post names the node it comes from ([`post_from`](Simulation::post_from),
+/// [`schedule_from`](Simulation::schedule_from)); the sequence number is
+/// drawn from a counter owned by that node, never from a global insertion
+/// counter. Two same-instant events therefore fire in an order that is a
+/// property of the simulated system — which node sent them, and in what
+/// order that node sent them — not of how the caller happened to
+/// interleave its posts. The unnamed variants post from node 0, so a
+/// caller that never names a node gets plain FIFO tie-breaking.
 ///
 /// Two scheduling families exist:
 ///
@@ -122,7 +140,9 @@ impl<E> Ord for Scheduled<E> {
 pub struct Simulation<E> {
     now: SimTime,
     queue: BinaryHeap<Scheduled<E>>,
-    next_seq: u64,
+    /// Per-node post counters (the intrinsic sequence source), indexed
+    /// by node; grown on a node's first post.
+    node_seq: Vec<u64>,
     /// Cancellation slab, indexed by `Scheduled::slot`.
     slots: Vec<Slot>,
     /// Recycled slab indices.
@@ -144,7 +164,7 @@ impl<E> Simulation<E> {
         Simulation {
             now: SimTime::ZERO,
             queue: BinaryHeap::new(),
-            next_seq: 0,
+            node_seq: vec![0],
             slots: Vec::new(),
             free: Vec::new(),
             tombstones: 0,
@@ -176,11 +196,17 @@ impl<E> Simulation<E> {
         );
     }
 
+    /// Draws the next intrinsic key for an event posted by `src`.
     #[inline]
-    fn alloc_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
+    fn alloc_key(&mut self, src: u16) -> u64 {
+        let i = src as usize;
+        if i >= self.node_seq.len() {
+            self.node_seq.resize(i + 1, 0);
+        }
+        let seq = self.node_seq[i];
+        debug_assert!(seq < (1 << SEQ_BITS), "per-node sequence exhausted");
+        self.node_seq[i] = seq + 1;
+        ((src as u64) << SEQ_BITS) | seq
     }
 
     /// Schedules `event` at absolute time `at`, returning a handle for
@@ -192,8 +218,18 @@ impl<E> Simulation<E> {
     /// Panics if `at` is earlier than the current time: an event in the
     /// past would silently corrupt causality.
     pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventId {
+        self.schedule_from(0, at, event)
+    }
+
+    /// [`schedule_at`](Simulation::schedule_at) on behalf of node `src`:
+    /// same-instant ties break by `(src, src's post count)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is earlier than the current time.
+    pub fn schedule_from(&mut self, src: u16, at: SimTime, event: E) -> EventId {
         self.check_future(at);
-        let seq = self.alloc_seq();
+        let key = self.alloc_key(src);
         let slot = match self.free.pop() {
             Some(slot) => slot,
             None => {
@@ -208,7 +244,7 @@ impl<E> Simulation<E> {
         };
         self.queue.push(Scheduled {
             at,
-            seq,
+            key,
             slot,
             event,
         });
@@ -221,7 +257,7 @@ impl<E> Simulation<E> {
     }
 
     /// Schedules `event` to fire immediately (at the current time, after
-    /// any events already scheduled for this instant; cancellable).
+    /// any node-0 events already scheduled for this instant; cancellable).
     pub fn schedule_now(&mut self, event: E) -> EventId {
         self.schedule_at(self.now, event)
     }
@@ -236,11 +272,22 @@ impl<E> Simulation<E> {
     /// Panics if `at` is earlier than the current time.
     #[inline]
     pub fn post_at(&mut self, at: SimTime, event: E) {
+        self.post_from(0, at, event);
+    }
+
+    /// [`post_at`](Simulation::post_at) on behalf of node `src`:
+    /// same-instant ties break by `(src, src's post count)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is earlier than the current time.
+    #[inline]
+    pub fn post_from(&mut self, src: u16, at: SimTime, event: E) {
         self.check_future(at);
-        let seq = self.alloc_seq();
+        let key = self.alloc_key(src);
         self.queue.push(Scheduled {
             at,
-            seq,
+            key,
             slot: NO_SLOT,
             event,
         });
@@ -520,5 +567,64 @@ mod tests {
         sim.post_at(t, 2);
         let order: Vec<u32> = std::iter::from_fn(|| sim.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn same_instant_ties_break_by_node_then_per_node_seq() {
+        // Posted out of node order: ties must pop by (node, that node's
+        // post count), not by global insertion order.
+        let mut sim: Simulation<u32> = Simulation::new();
+        let t = SimTime::from_micros(5);
+        sim.post_from(2, t, 20);
+        sim.post_from(1, t, 10);
+        sim.post_from(2, t, 21);
+        sim.post_from(0, t, 0);
+        sim.post_from(1, t, 11);
+        sim.post_from(3, SimTime::from_micros(3), 30);
+        let order: Vec<u32> = std::iter::from_fn(|| sim.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![30, 0, 10, 11, 20, 21]);
+    }
+
+    #[test]
+    fn interleaving_posts_across_nodes_does_not_change_order() {
+        // Each node posts the same sequence; only the interleaving
+        // between nodes differs. A global insertion counter would pop
+        // the two calendars in different orders.
+        let run = |interleave: &[u16]| {
+            let mut sim: Simulation<(u16, u32)> = Simulation::new();
+            let mut next = [0u32; 3];
+            for &n in interleave {
+                let i = next[n as usize];
+                next[n as usize] += 1;
+                sim.post_from(n, SimTime::from_micros(1 + u64::from(i % 2)), (n, i));
+            }
+            std::iter::from_fn(|| sim.pop().map(|(_, e)| e)).collect::<Vec<_>>()
+        };
+        let a = run(&[0, 1, 2, 0, 1, 2, 0, 1, 2]);
+        let b = run(&[2, 2, 2, 1, 0, 1, 0, 1, 0]);
+        assert_eq!(a, b);
+        assert_eq!(a[..3], [(0, 0), (0, 2), (1, 0)]);
+    }
+
+    #[test]
+    fn node_keyed_cancellation_matches_unkeyed() {
+        // Cancellation is keyed by slab slot, not by the event key:
+        // cancelling a node-3 timer leaves node 1's same-instant event,
+        // and a stale handle cannot cancel the slot's next user.
+        let mut sim: Simulation<u32> = Simulation::new();
+        let t = SimTime::from_millis(1);
+        let a = sim.schedule_from(3, t, 3);
+        sim.post_from(1, t, 1);
+        sim.schedule_from(3, t, 4);
+        sim.cancel(a);
+        assert_eq!(sim.pending(), 2);
+        assert_eq!(sim.pop().unwrap().1, 1);
+        assert_eq!(sim.pop().unwrap().1, 4);
+        let b = sim.schedule_from(2, SimTime::from_millis(2), 5); // reuses a's slot
+        sim.cancel(a);
+        assert_eq!(sim.pending(), 1);
+        sim.cancel(b);
+        assert!(sim.pop().is_none());
+        assert_eq!(sim.dispatched(), 2);
     }
 }

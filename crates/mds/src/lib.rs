@@ -13,7 +13,7 @@
 //! # Host-driven, zero-clock design
 //!
 //! The group owns **no clock and no event queue**. Every protocol step
-//! is a pure transition: the host (the cluster coordinator LP) calls
+//! is a pure transition: the host (the cluster's client side) calls
 //! [`MdsGroup::handle`] with the current virtual time and a message,
 //! and the group appends [`Action`]s to a caller-supplied buffer —
 //! `Deliver { at, msg }` actions the host must schedule back into
@@ -22,8 +22,8 @@
 //! coordinator's deterministic event order, and election timeouts are
 //! drawn from per-replica RNG streams (`streams::MDS`, keyed on
 //! `(seed, replica)` alone), the entire protocol — elections, message
-//! interleavings, commit points — is byte-identical at any
-//! `--shards`×`--threads`×`--jobs` combination.
+//! interleavings, commit points — is byte-identical at any `--jobs`
+//! level.
 //!
 //! Replica-to-replica messages pay realistic network cost: each replica
 //! owns an [`ibridge_net::Link`] whose serialise+transmit+propagate

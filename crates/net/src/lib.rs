@@ -61,10 +61,8 @@ impl LinkConfig {
 
     /// Lower bound on any message's send-to-arrival latency: even a
     /// zero-byte message on an idle link pays the per-message overhead
-    /// plus propagation. This is the *lookahead* of the sharded
-    /// simulation engine — the width of its conservative time window —
-    /// since no event can cross between logical processes faster than
-    /// the fabric can carry a message.
+    /// plus propagation. The cluster uses it as the delay of its
+    /// control messages between nodes (drain kicks, MDS steer-off).
     pub fn lookahead(&self) -> SimDuration {
         self.overhead + self.latency
     }

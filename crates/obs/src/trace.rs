@@ -26,15 +26,6 @@
 //! Span IDs come from the simulation's own deterministic request tags
 //! (parent request id, sub-request index, server job id) via [`span_id`],
 //! never from a global counter.
-//!
-//! Sharding a cluster into logical processes (`ibridge_des::pdes`,
-//! `--shards`) changes none of this: the sharded engine dispatches
-//! events in an order keyed by `(time, source node, per-node sequence)`
-//! — intrinsic to the simulated system, not to the LP grouping — so
-//! spans are recorded in the same order at any shard count and the
-//! exported trace stays byte-identical. [`Trace::spans_by_lp`] regroups
-//! the merged span stream into per-LP lanes for viewing a sharded run,
-//! without perturbing the order within each lane.
 
 use std::cell::RefCell;
 use std::collections::HashSet;
@@ -263,27 +254,6 @@ impl Trace {
         })
     }
 
-    /// Groups spans into per-logical-process lanes given the cluster's
-    /// node → LP map (the same map `ibridge_des::pdes` shards by:
-    /// index = node number, value = LP). Returns one `(lp, spans)`
-    /// entry per LP in LP order; within a lane, spans keep the merged
-    /// dispatch order, which is shard-count-invariant. Spans whose node
-    /// is outside the map (e.g. from a differently-sized cluster in the
-    /// same trace) land in LP 0, the coordinator.
-    pub fn spans_by_lp<'a>(&'a self, node_lp: &[u32]) -> Vec<(u32, Vec<(u32, &'a Span)>)> {
-        let n_lps = node_lp.iter().max().map_or(1, |&m| m as usize + 1);
-        let mut lanes: Vec<Vec<(u32, &Span)>> = vec![Vec::new(); n_lps];
-        for (run, span) in self.spans() {
-            let lp = node_lp.get(span.node as usize).copied().unwrap_or(0) as usize;
-            lanes[lp].push((run, span));
-        }
-        lanes
-            .into_iter()
-            .enumerate()
-            .map(|(lp, spans)| (lp as u32, spans))
-            .collect()
-    }
-
     /// Serialises to Chrome trace-event JSON (the `chrome://tracing` /
     /// Perfetto "JSON Array Format" with a `traceEvents` envelope).
     ///
@@ -417,37 +387,6 @@ mod tests {
         let names: Vec<&str> = trace.spans().map(|(_, s)| s.name).collect();
         // Path [0,0] sorts before [0,1,0,0].
         assert_eq!(names, ["outer0", "inner"]);
-        reset();
-    }
-
-    #[test]
-    fn spans_group_into_lp_lanes_in_dispatch_order() {
-        let _g = lock();
-        reset();
-        crate::set_tracing(true);
-        run_begin();
-        // Client (node 0) and three servers (nodes 1..=3) interleaved,
-        // as a dispatch loop would record them.
-        for (node, ts) in [(0u16, 1u64), (1, 2), (3, 3), (0, 4), (2, 5), (3, 6)] {
-            record(Span {
-                node,
-                ..span("s", ts)
-            });
-        }
-        crate::set_tracing(false);
-        let trace = take_chunks();
-        // Coordinator LP 0 holds the client; servers 0..=2 (nodes 1..=3)
-        // split into two LPs, as a `--shards 2` cluster of 3 would.
-        let lanes = trace.spans_by_lp(&[0, 1, 1, 2]);
-        let shape: Vec<(u32, Vec<u64>)> = lanes
-            .iter()
-            .map(|(lp, spans)| (*lp, spans.iter().map(|(_, s)| s.ts_ns).collect()))
-            .collect();
-        assert_eq!(
-            shape,
-            [(0, vec![1, 4]), (1, vec![2, 5]), (2, vec![3, 6])],
-            "lanes must keep dispatch order within each LP"
-        );
         reset();
     }
 

@@ -12,30 +12,26 @@
 //! warms the iBridge cache before read experiments (the paper relies on
 //! the same effect across repeated production runs).
 //!
-//! # Threading model
+//! # Structure
 //!
-//! The cluster's state is partitioned along logical-process boundaries
-//! so ready LPs can execute concurrently on the parallel-DES worker
-//! pool (`ClusterConfig::threads`):
+//! One calendar ([`Simulation`]) drives the whole cluster. A run's state
+//! has two sides that interact only through events:
 //!
-//! * the **coordinator LP** owns the clients and the metadata server —
-//!   the workload, per-process bookkeeping, the in-flight parent table,
-//!   the retry protocol and the MDS T-value table ([`CoordPersist`] is
-//!   its cross-run state);
-//! * each **server shard LP** owns a contiguous group of data servers —
-//!   their devices, policies, links, crash/epoch state and in-flight
-//!   job table (a [`ShardPersist`] of [`ServerCell`]s).
+//! * the **client side** owns the clients and the metadata server — the
+//!   workload, per-process bookkeeping, the in-flight parent table, the
+//!   retry protocol and the MDS T-value table (`CoordPersist` is its
+//!   cross-run state);
+//! * the **server side** owns the data servers — one `ServerCell` per
+//!   server with its devices, policy, link and crash/epoch state — and
+//!   the in-flight job table.
 //!
-//! No LP ever touches another LP's state: every interaction crosses the
-//! fabric as an event posted at least one lookahead in the future
-//! (requests carry their [`PendingJob`] in the message; SSD loss steers
-//! the MDS off via [`Ev::SteerOff`]; the end-of-run drain is kicked by
-//! cross-LP `DrainTick`s). Probabilistic network impairments draw from
-//! per-node RNG streams ([`ibridge_faults::NetDecider`]), so the dice
-//! rolled by one LP are independent of any other LP's schedule. Event
-//! keys are intrinsic `(time, source node, per-node sequence)`, so every
-//! stat, trace and golden is byte-identical at any `shards`/`threads`
-//! combination.
+//! The client side files each sub-request's `PendingJob` in the server
+//! side's job table as it sends it, SSD loss steers the MDS off via
+//! `Ev::SteerOff`, and the end-of-run drain is kicked by `DrainTick`s. Every post names its source node (clients and MDS
+//! are node 0, server `s` is node `s + 1`), so same-instant events fire
+//! in the calendar's intrinsic `(time, source node, per-node sequence)`
+//! order. Probabilistic network impairments draw from per-node RNG
+//! streams ([`ibridge_faults::NetDecider`]).
 
 use crate::layout::Layout;
 use crate::policy::{BitRotTarget, CachePolicy, CacheStats, LogCorruption, MaintStats};
@@ -43,9 +39,8 @@ use crate::proto::{FileRequest, SubRequest};
 use crate::server::{DataServer, DevKind, JobId, ServerConfig, ServerOut};
 use crate::workload::Workload;
 use ibridge_des::fxhash::FxHashMap as HashMap;
-use ibridge_des::pdes::{LpPort, ShardedSimulation};
 use ibridge_des::stats::{Histogram, MeanTracker};
-use ibridge_des::{EventId, SimDuration, SimTime};
+use ibridge_des::{EventId, SimDuration, SimTime, Simulation};
 use ibridge_faults::{
     FaultDev, FaultInjector, FaultPlan, FaultStats, NetDecider, RetryConfig, RotTarget, TimedFault,
 };
@@ -70,23 +65,6 @@ static TOTAL_EVENTS: AtomicU64 = AtomicU64::new(0);
 /// poll from another thread).
 pub fn total_events_dispatched() -> u64 {
     TOTAL_EVENTS.load(Ordering::Relaxed)
-}
-
-/// Synchronisation rounds executed by threaded runs (each round opens at
-/// the earliest pending event across LPs).
-static TOTAL_WINDOWS: AtomicU64 = AtomicU64::new(0);
-/// Rounds that needed a true multi-LP barrier; `windows - barriers`
-/// rounds were widened single-LP windows that skipped the barrier.
-static TOTAL_BARRIERS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide `(windows, barriers)` of every threaded run so far —
-/// zero until a run actually takes the threaded driver (`threads > 1`,
-/// more than one LP, tracing off). Monotone, updated once per run.
-pub fn total_window_counters() -> (u64, u64) {
-    (
-        TOTAL_WINDOWS.load(Ordering::Relaxed),
-        TOTAL_BARRIERS.load(Ordering::Relaxed),
-    )
 }
 
 static TOTAL_RETRIES: AtomicU64 = AtomicU64::new(0);
@@ -119,7 +97,7 @@ pub fn total_maint_counters() -> MaintStats {
 }
 
 /// Process-wide fault/recovery totals, aggregated once per run across all
-/// threads (the harness's `--bench-report` pulls these next to the cache
+/// worker threads (the harness's `--bench-report` pulls these next to the cache
 /// counters). All zero unless a fault plan was armed — except `audits`,
 /// which counts invariant-auditor passes on any run with auditing on.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -150,6 +128,29 @@ pub struct FaultTotals {
     pub mds_failover_recovery_ticks: u64,
     /// Online invariant-auditor passes completed.
     pub audits: u64,
+}
+
+impl FaultTotals {
+    /// Field-wise `self - earlier`: the activity between two snapshots
+    /// of the process-wide totals.
+    pub fn since(&self, earlier: &FaultTotals) -> FaultTotals {
+        FaultTotals {
+            retries: self.retries - earlier.retries,
+            timeouts: self.timeouts - earlier.timeouts,
+            dropped_messages: self.dropped_messages - earlier.dropped_messages,
+            dirty_bytes_lost: self.dirty_bytes_lost - earlier.dirty_bytes_lost,
+            degraded_ns: self.degraded_ns - earlier.degraded_ns,
+            fsck_records_scanned: self.fsck_records_scanned - earlier.fsck_records_scanned,
+            fsck_records_quarantined: self.fsck_records_quarantined
+                - earlier.fsck_records_quarantined,
+            stale_t_decisions: self.stale_t_decisions - earlier.stale_t_decisions,
+            mds_elections: self.mds_elections - earlier.mds_elections,
+            mds_leader_changes: self.mds_leader_changes - earlier.mds_leader_changes,
+            mds_failover_recovery_ticks: self.mds_failover_recovery_ticks
+                - earlier.mds_failover_recovery_ticks,
+            audits: self.audits - earlier.audits,
+        }
+    }
 }
 
 /// Snapshot of the process-wide fault counters (monotone; updated once
@@ -191,11 +192,10 @@ pub struct ClusterConfig {
     /// Metadata-service replicas. `1` (the default) is the classic
     /// single MDS — a SPOF whose crash degrades clients to stale T
     /// values. `> 1` runs a raft-style replicated group (entirely on
-    /// the coordinator LP, in virtual time): T reports and steering
+    /// the client node, in virtual time): T reports and steering
     /// updates go through a majority-committed log, and the group
     /// survives leader crashes and partitions via deterministic
-    /// seeded elections. Output stays byte-identical at any
-    /// `shards`/`threads` combination either way.
+    /// seeded elections.
     pub mds_replicas: usize,
     /// Interval of the writeback daemon's idle check.
     pub writeback_interval: SimDuration,
@@ -206,24 +206,8 @@ pub struct ClusterConfig {
     pub client_jitter: SimDuration,
     /// Experiment seed (jitter and any stochastic workload draws).
     pub seed: u64,
-    /// Number of data-server shards (logical processes). The servers
-    /// are split into this many contiguous groups, each owning its own
-    /// calendar; clients and the MDS form a coordinator LP. Event order
-    /// — and therefore every observable output — is byte-identical at
-    /// any shard count (see `ibridge_des::pdes`). Clamped to
-    /// `n_servers`.
-    pub shards: usize,
-    /// Worker threads of the intra-run parallel-DES driver. With more
-    /// than one thread and more than one LP (`shards > 1` builds the
-    /// coordinator plus server-group LPs), ready LPs execute
-    /// concurrently between deterministic window barriers; every output
-    /// is byte-identical at any thread count. `1` (the default) runs
-    /// the serial driver. Span tracing forces the serial driver — the
-    /// tracer's buffer merge is fork-path-based — while metrics stay
-    /// thread-safe either way.
-    pub threads: usize,
     /// Virtual-time cadence of the online invariant auditor: every
-    /// elapsed interval each shard cross-checks its live servers'
+    /// elapsed interval the cluster cross-checks its live servers'
     /// policy invariants and the process-epoch monotonicity, aborting
     /// with a structured diagnostic on the first violation. `None`
     /// disables auditing. The auditor is synchronous and read-only — it
@@ -247,17 +231,15 @@ impl Default for ClusterConfig {
             writeback_interval: SimDuration::from_millis(100),
             client_jitter: SimDuration::from_millis(10),
             seed: 42,
-            shards: 1,
-            threads: 1,
             audit_interval: None,
         }
     }
 }
 
-/// Node id of the client/MDS coordinator LP.
+/// Node id of the clients and the MDS.
 const COORD: u16 = 0;
 
-/// Node id of data server `s` (the coordinator is node 0).
+/// Node id of data server `s` (clients and the MDS are node 0).
 fn srv_node(s: usize) -> u16 {
     s as u16 + 1
 }
@@ -268,14 +250,9 @@ enum Ev {
     Wake { proc: usize },
     /// Think time elapsed; issue the request.
     Issue { proc: usize, req: FileRequest },
-    /// Sub-request message reached its server, carrying the cluster-side
-    /// job record with it — the job table is owned by the server's LP,
-    /// so the record travels in the message instead of being shared.
-    SubArrive {
-        server: usize,
-        job: JobId,
-        pj: Box<PendingJob>,
-    },
+    /// Sub-request message reached its server (its record is already in
+    /// the job table).
+    SubArrive { server: usize, job: JobId },
     /// Server CPU admitted the sub-request. `epoch` is the server's
     /// process epoch at admission: a crash bumps it, so executions queued
     /// by the dead process are discarded instead of acting on the
@@ -328,8 +305,8 @@ enum Ev {
         table: Arc<[f64]>,
     },
     /// An intra-MDS-group raft message or timer (replicated MDS only).
-    /// The whole group lives on the coordinator LP, so these are
-    /// coordinator self-posts whose order is intrinsic.
+    /// The whole group lives on the client node, so these are node-0
+    /// self-posts.
     Mds(MdsMsg),
     /// Re-proposal of a metadata update that found no reachable MDS
     /// leader: the client-facing path backs off and retries instead of
@@ -342,11 +319,14 @@ enum Ev {
     DrainTick { server: usize },
     /// A server lost its SSD: the MDS zeroes that server's T slot so
     /// fragments stop being steered at it. The table lives on the
-    /// coordinator LP, one lookahead away from the failing server.
+    /// client node, one link lookahead away from the failing server.
     SteerOff { server: usize },
 }
 
-#[derive(Debug, Default)]
+/// Cluster-side record of one in-flight sub-request: filed in the job
+/// table when the client sends it, removed when the reply leaves the
+/// server or the message or job is lost.
+#[derive(Debug)]
 struct PendingJob {
     /// Taken (moved into the server) when the CPU admits the job; the
     /// reply size is precomputed so the reply path never needs it back.
@@ -356,42 +336,6 @@ struct PendingJob {
     parent: u64,
     server: usize,
     sub_idx: u32,
-}
-
-/// Recycling pool for the `Box<PendingJob>` riding every `SubArrive`
-/// message: without it each sub-request costs a heap allocation at the
-/// coordinator that the receiving shard immediately frees. The pool is
-/// thread-local so it needs no synchronisation under the threaded
-/// driver (each worker's pool self-balances; serial runs reach steady
-/// state after the first in-flight wave). Pool membership is invisible
-/// to the simulation — a recycled box is fully overwritten before
-/// reuse, so output is identical with or without pooling.
-const PJ_POOL_CAP: usize = 1024;
-thread_local! {
-    // The boxes themselves are the resource being recycled (they ride
-    // inside `Ev::SubArrive`), so `Vec<Box<_>>` is the point here.
-    #[allow(clippy::vec_box)]
-    static PJ_POOL: std::cell::RefCell<Vec<Box<PendingJob>>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-fn pj_box(pj: PendingJob) -> Box<PendingJob> {
-    PJ_POOL.with(|p| match p.borrow_mut().pop() {
-        Some(mut b) => {
-            *b = pj;
-            b
-        }
-        None => Box::new(pj),
-    })
-}
-
-fn pj_recycle(b: Box<PendingJob>) {
-    PJ_POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        if p.len() < PJ_POOL_CAP {
-            p.push(b);
-        }
-    });
 }
 
 /// Client-side in-flight record of one sub-request, kept only while a
@@ -614,9 +558,8 @@ fn clamp_fault(f: TimedFault, n: usize) -> TimedFault {
     }
 }
 
-/// The data server a fault targets, or `None` for MDS faults — the
-/// static routing key that decides which LP's calendar a scheduled
-/// fault is seeded onto.
+/// The data server a fault targets, or `None` for MDS faults: decides
+/// which node posts a scheduled fault and which side handles it.
 fn fault_server(f: &TimedFault) -> Option<usize> {
     match *f {
         TimedFault::Crash { server }
@@ -754,7 +697,7 @@ impl RunStats {
     }
 }
 
-/// Cross-run state owned by the coordinator LP: the clients' RNG and id
+/// Cross-run state of the client side: the clients' RNG and id
 /// counters, and the metadata server.
 struct CoordPersist {
     mds_link: Link,
@@ -777,7 +720,7 @@ struct CoordPersist {
     decider: Option<NetDecider>,
 }
 
-/// Cross-run state of one data server, owned by its shard LP.
+/// Cross-run state of one data server.
 struct ServerCell {
     server: DataServer,
     /// Server → client reply link.
@@ -800,19 +743,12 @@ struct ServerCell {
     decider: Option<NetDecider>,
 }
 
-/// One shard: a contiguous group of data servers sharing an LP.
-struct ShardPersist {
-    /// Global id of the first server in `cells`.
-    lo: usize,
-    cells: Vec<ServerCell>,
-}
-
 /// The simulated cluster.
 pub struct Cluster {
     cfg: ClusterConfig,
-    sim: ShardedSimulation<Ev>,
+    sim: Simulation<Ev>,
     coord: CoordPersist,
-    shards: Vec<ShardPersist>,
+    cells: Vec<ServerCell>,
     /// Armed fault schedule; `None` keeps every fault path inert so an
     /// unarmed cluster is byte-identical to one that never saw a plan.
     injector: Option<FaultInjector>,
@@ -835,37 +771,12 @@ impl Cluster {
         make_policy: impl Fn(usize) -> Box<dyn CachePolicy>,
     ) -> Self {
         assert!(cfg.n_servers > 0, "cluster needs at least one server");
-        // LP map: coordinator (clients + MDS) is LP 0; the servers are
-        // split into `shards` contiguous groups, one LP each. The
-        // lookahead — the engine's window width — is the fabric's
-        // per-message latency floor, the fastest any event can cross
-        // between LPs. `shards: 1` means unsharded: everything on a
-        // single LP, where the engine skips the barrier machinery
-        // entirely. Event order is intrinsic, so the split changes no
-        // output either way.
-        let groups = cfg.shards.clamp(1, cfg.n_servers);
-        let node_lp: Vec<u32> = if groups == 1 {
-            vec![0; cfg.n_servers + 1]
-        } else {
-            std::iter::once(0)
-                .chain((0..cfg.n_servers).map(|s| 1 + (s * groups / cfg.n_servers) as u32))
-                .collect()
-        };
-        let mut shards: Vec<ShardPersist> = (0..groups)
-            .map(|_| ShardPersist {
-                lo: 0,
-                cells: Vec::new(),
-            })
-            .collect();
-        for s in 0..cfg.n_servers {
-            // Same contiguous split as `node_lp`; floor division is
-            // surjective for `groups <= n_servers`, so no group is empty.
-            let g = s * groups / cfg.n_servers;
-            let sh = &mut shards[g];
-            if sh.cells.is_empty() {
-                sh.lo = s;
-            }
-            sh.cells.push(ServerCell {
+        assert!(
+            cfg.n_servers < usize::from(u16::MAX),
+            "node ids are 16 bits"
+        );
+        let cells = (0..cfg.n_servers)
+            .map(|s| ServerCell {
                 server: DataServer::new(s, make_server(s), make_policy(s)),
                 link: Link::new(cfg.link.clone()),
                 down: false,
@@ -875,8 +786,8 @@ impl Cluster {
                 degraded_since: SimTime::ZERO,
                 bcast_version: 0,
                 decider: None,
-            });
-        }
+            })
+            .collect();
         Cluster {
             coord: CoordPersist {
                 mds_link: Link::new(cfg.link.clone()),
@@ -894,8 +805,8 @@ impl Cluster {
                 next_parent: 0,
                 decider: None,
             },
-            sim: ShardedSimulation::new(node_lp, cfg.link.lookahead()),
-            shards,
+            sim: Simulation::new(),
+            cells,
             injector: None,
             cfg,
         }
@@ -908,19 +819,15 @@ impl Cluster {
     /// saw a plan. Server ids in the plan are taken modulo `n_servers`.
     ///
     /// Each node gets its own impairment-decision RNG stream, so the
-    /// dice one LP rolls are independent of every other LP's schedule —
-    /// the property that keeps faulty runs byte-identical at any
-    /// `shards`/`threads` combination.
+    /// dice one node rolls do not depend on how its messages interleave
+    /// with any other node's.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
         self.injector = (!plan.is_faultless()).then(|| FaultInjector::new(plan, self.cfg.seed));
         let seed = self.cfg.seed;
         let inj = self.injector.as_ref();
         self.coord.decider = inj.and_then(|inj| inj.net_decider(seed, COORD));
-        for sh in &mut self.shards {
-            let lo = sh.lo;
-            for (i, cell) in sh.cells.iter_mut().enumerate() {
-                cell.decider = inj.and_then(|inj| inj.net_decider(seed, srv_node(lo + i)));
-            }
+        for (s, cell) in self.cells.iter_mut().enumerate() {
+            cell.decider = inj.and_then(|inj| inj.net_decider(seed, srv_node(s)));
         }
     }
 
@@ -936,9 +843,7 @@ impl Cluster {
 
     /// Direct server access (inspection in tests/harness).
     pub fn server(&self, i: usize) -> &DataServer {
-        let g = i * self.shards.len() / self.cfg.n_servers;
-        let sh = &self.shards[g];
-        &sh.cells[i - sh.lo].server
+        &self.cells[i].server
     }
 
     /// Preallocates a striped file of `logical_bytes` across the servers
@@ -948,15 +853,12 @@ impl Cluster {
         let layout = Layout::new(self.cfg.stripe_unit, self.cfg.n_servers);
         let su = layout.stripe_unit;
         let units = logical_bytes.div_ceil(su);
-        for sh in &mut self.shards {
-            for (i, cell) in sh.cells.iter_mut().enumerate() {
-                let s = sh.lo + i;
-                // Units owned by server s among 0..units.
-                let owned = units / layout.n_servers as u64
-                    + u64::from(units % layout.n_servers as u64 > s as u64);
-                if owned > 0 {
-                    cell.server.preallocate(file, owned * su);
-                }
+        for (s, cell) in self.cells.iter_mut().enumerate() {
+            // Units owned by server s among 0..units.
+            let owned = units / layout.n_servers as u64
+                + u64::from(units % layout.n_servers as u64 > s as u64);
+            if owned > 0 {
+                cell.server.preallocate(file, owned * su);
             }
         }
     }
@@ -966,17 +868,10 @@ impl Cluster {
     ///
     /// State (file allocations, cache contents, device head positions)
     /// persists across calls, enabling warm-cache measurements.
-    ///
-    /// The run executes on the serial driver, or — when
-    /// `ClusterConfig::threads > 1`, the cluster has more than one LP
-    /// and span tracing is off — on the scoped worker pool with
-    /// deterministic window barriers. Output is byte-identical either
-    /// way.
     pub fn run(&mut self, workload: &mut dyn Workload) -> RunStats {
         let n_procs = workload.procs();
         assert!(n_procs > 0, "workload has no processes");
         let n_servers = self.cfg.n_servers;
-        let groups = self.shards.len();
         let start = self.sim.now();
         let dispatched_before = self.sim.dispatched();
         let layout = self.layout();
@@ -991,47 +886,38 @@ impl Cluster {
             .map(|inj| inj.retry().clone())
             .unwrap_or_default();
         let mut coord_fault_ids: Vec<EventId> = Vec::new();
-        let mut shard_fault_ids: Vec<Vec<Vec<EventId>>> = self
-            .shards
-            .iter()
-            .map(|sh| vec![Vec::new(); sh.cells.len()])
-            .collect();
+        let mut server_fault_ids: Vec<Vec<EventId>> = vec![Vec::new(); n_servers];
         if let Some(inj) = self.injector.as_mut() {
             // `arm` hands the timeline out exactly once, so a cluster
             // re-run without re-arming does not re-inject old faults.
             let timeline: Vec<(SimDuration, TimedFault)> = inj.arm().to_vec();
             for (off, f) in timeline {
-                // Each fault is seeded directly onto the calendar of the
-                // LP owning its target (static routing — fault targets
-                // are known when the plan is armed). Cancellable: the
-                // run drains the calendar to empty, so faults pending
-                // past their target's quiescence are unscheduled.
+                // Each fault is posted by the node it targets.
+                // Cancellable: the run drains the calendar to empty, so
+                // faults pending past their target's quiescence are
+                // unscheduled.
                 let f = clamp_fault(f, n_servers);
                 match fault_server(&f) {
                     Some(s) => {
-                        let node = srv_node(s);
-                        let id = self.sim.schedule_at(node, node, start + off, Ev::Fault(f));
-                        let g = s * groups / n_servers;
-                        shard_fault_ids[g][s - self.shards[g].lo].push(id);
-                    }
-                    None => {
                         let id = self
                             .sim
-                            .schedule_at(COORD, COORD, start + off, Ev::Fault(f));
+                            .schedule_from(srv_node(s), start + off, Ev::Fault(f));
+                        server_fault_ids[s].push(id);
+                    }
+                    None => {
+                        let id = self.sim.schedule_from(COORD, start + off, Ev::Fault(f));
                         coord_fault_ids.push(id);
                     }
                 }
             }
         }
-        for sh in &mut self.shards {
-            for cell in &mut sh.cells {
-                // Degradation persisting from an earlier run (e.g. a
-                // lost SSD) accrues from this run's start.
-                if cell.degraded_depth > 0 {
-                    cell.degraded_since = start;
-                }
-                cell.server.prepare_run();
+        for cell in &mut self.cells {
+            // Degradation persisting from an earlier run (e.g. a lost
+            // SSD) accrues from this run's start.
+            if cell.degraded_depth > 0 {
+                cell.degraded_since = start;
             }
+            cell.server.prepare_run();
         }
 
         // Observability. Recording is read-only with respect to the
@@ -1042,9 +928,8 @@ impl Cluster {
         ibridge_obs::trace::run_begin();
         #[cfg(feature = "obs")]
         let obs_dev0: Vec<ibridge_iosched::DevStats> = if ibridge_obs::metrics_on() {
-            self.shards
+            self.cells
                 .iter()
-                .flat_map(|sh| sh.cells.iter())
                 .map(|c| c.server.primary().stats())
                 .collect()
         } else {
@@ -1058,44 +943,41 @@ impl Cluster {
         let barrier_mask: Vec<bool> = (0..n_procs).map(|p| workload.in_barrier(p)).collect();
 
         for proc in 0..n_procs {
-            self.sim.post_now(COORD, COORD, Ev::Wake { proc });
+            self.sim.post_from(COORD, start, Ev::Wake { proc });
         }
         // Re-arm the replicated-MDS group's timers for this run (the
-        // drain cancelled them at the end of the previous run). All
-        // raft traffic is coordinator-local, so these self-posts have
-        // no lookahead constraint.
+        // drain cancelled them at the end of the previous run).
         let mds_before = self.coord.mds.as_ref().map(|g| g.stats());
         if let Some(g) = self.coord.mds.as_mut() {
             let mut acts = Vec::new();
             g.resume(start, &mut acts);
             for a in acts {
                 if let MdsAction::Deliver { at, msg } = a {
-                    self.sim.post_at(COORD, COORD, at, Ev::Mds(msg));
+                    self.sim.post_from(COORD, at, Ev::Mds(msg));
                 }
             }
         }
         if ibridge {
             for server in 0..n_servers {
                 let node = srv_node(server);
-                self.sim
-                    .post_in(node, node, self.cfg.report_interval, Ev::Report { server });
-                self.sim.post_in(
+                self.sim.post_from(
                     node,
+                    start + self.cfg.report_interval,
+                    Ev::Report { server },
+                );
+                self.sim.post_from(
                     node,
-                    self.cfg.writeback_interval,
+                    start + self.cfg.writeback_interval,
                     Ev::WritebackTick { server },
                 );
             }
         }
 
-        // Split the cluster into its per-LP states. From here on no
-        // code path touches state across an LP boundary: the handler
-        // closure sees exactly one LP's state per event.
         let Cluster {
             cfg,
             sim,
             coord,
-            shards,
+            cells,
             ..
         } = self;
         let cfg: &ClusterConfig = cfg;
@@ -1106,48 +988,40 @@ impl Cluster {
             faults,
             start,
         };
-        let co = CoordLp {
-            p: coord,
-            workload,
-            retry,
-            client_links,
-            proc_state: vec![ProcState::Running; n_procs],
-            proc_iter: vec![0u64; n_procs],
-            active: n_procs,
-            parents: HashMap::default(),
-            latency_ms: MeanTracker::new(),
-            latency_hist_ms: Histogram::new(),
-            io_time: SimDuration::ZERO,
-            think_time: SimDuration::ZERO,
-            bytes: 0,
-            requests: 0,
-            client_done_at: start,
-            proc_bytes: vec![0u64; n_procs],
-            proc_done: vec![SimDuration::ZERO; n_procs],
-            use_barrier,
-            barrier_mask,
-            drain_kicked: false,
-            fault_ids: coord_fault_ids,
-            fstats: FaultStats::default(),
-            pieces_scratch: Vec::new(),
-            subs_scratch: Vec::new(),
-            mds_shutdown: false,
-            mds_acts: Vec::new(),
-        };
-        fn mk_shard<'r>(
-            cfg: &ClusterConfig,
-            start: SimTime,
-            p: &'r mut ShardPersist,
-            fault_ids: Vec<Vec<EventId>>,
-        ) -> ShardLp<'r> {
-            #[cfg(not(feature = "audit"))]
-            let _ = cfg;
-            let n_cells = p.cells.len();
-            ShardLp {
+        let mut st = RunState {
+            co: ClientSide {
+                p: coord,
+                workload,
+                retry,
+                client_links,
+                proc_state: vec![ProcState::Running; n_procs],
+                proc_iter: vec![0u64; n_procs],
+                active: n_procs,
+                parents: HashMap::default(),
+                latency_ms: MeanTracker::new(),
+                latency_hist_ms: Histogram::new(),
+                io_time: SimDuration::ZERO,
+                think_time: SimDuration::ZERO,
+                bytes: 0,
+                requests: 0,
+                client_done_at: start,
+                proc_bytes: vec![0u64; n_procs],
+                proc_done: vec![SimDuration::ZERO; n_procs],
+                use_barrier,
+                barrier_mask,
+                drain_kicked: false,
+                fault_ids: coord_fault_ids,
+                fstats: FaultStats::default(),
+                pieces_scratch: Vec::new(),
+                subs_scratch: Vec::new(),
+                mds_shutdown: false,
+                mds_acts: Vec::new(),
+            },
+            sv: ServerSide {
                 #[cfg(feature = "audit")]
                 next_audit: cfg.audit_interval.map(|iv| start + iv),
                 #[cfg(feature = "audit")]
-                audit_epochs: p.cells.iter().map(|c| c.srv_epoch).collect(),
+                audit_epochs: cells.iter().map(|c| c.srv_epoch).collect(),
                 #[cfg(feature = "audit")]
                 audits: 0,
                 jobs: HashMap::default(),
@@ -1156,119 +1030,36 @@ impl Cluster {
                 draining: false,
                 was_quiescent: false,
                 quiesced_at: start,
-                fault_ids,
-                cell_was_q: vec![false; n_cells],
+                fault_ids: server_fault_ids,
+                cell_was_q: vec![false; n_servers],
                 lost_jobs: Vec::new(),
-                p,
-            }
-        }
-        let single = sim.n_lps() == 1;
-        let mut fault_buckets = shard_fault_ids.into_iter();
-        let mut states: Vec<LpState<'_>> =
-            Vec::with_capacity(if single { 1 } else { 1 + shards.len() });
-        if single {
-            let sh = shards.first_mut().expect("at least one shard");
-            states.push(LpState {
-                coord: Some(co),
-                shard: Some(mk_shard(
-                    cfg,
-                    start,
-                    sh,
-                    fault_buckets.next().expect("bucket"),
-                )),
-            });
-        } else {
-            states.push(LpState {
-                coord: Some(co),
-                shard: None,
-            });
-            for sh in shards.iter_mut() {
-                states.push(LpState {
-                    coord: None,
-                    shard: Some(mk_shard(
-                        cfg,
-                        start,
-                        sh,
-                        fault_buckets.next().expect("bucket"),
-                    )),
-                });
-            }
-        }
-
-        let handler = |port: &mut LpPort<'_, Ev>, st: &mut LpState<'_>, now: SimTime, ev: Ev| {
-            dispatch(&shared, port, st, now, ev);
+                cells,
+            },
         };
-        // Span tracing forces the serial driver: the tracer's task
-        // buffers merge along the engine's fork path, which only the
-        // serial driver maintains. Metrics merge on scoped-thread exit
-        // and are safe under either driver.
-        #[cfg(feature = "obs")]
-        let tracing = ibridge_obs::tracing_on();
-        #[cfg(not(feature = "obs"))]
-        let tracing = false;
-        let threads = cfg.threads.max(1);
-        let report = if threads > 1 && sim.n_lps() > 1 && !tracing {
-            Some(sim.run_threaded(&mut states, threads, handler))
-        } else {
-            sim.run_serial(&mut states, handler);
-            None
-        };
-        if let Some(rep) = &report {
-            TOTAL_WINDOWS.fetch_add(rep.windows, Ordering::Relaxed);
-            TOTAL_BARRIERS.fetch_add(rep.barriers, Ordering::Relaxed);
-            #[cfg(feature = "obs")]
-            if ibridge_obs::metrics_on() {
-                ibridge_obs::metrics::record_pdes(
-                    rep.windows,
-                    rep.barriers,
-                    &rep.lp_events,
-                    &rep.lp_wall_ns,
-                );
-            }
+        while let Some((now, ev)) = sim.pop() {
+            dispatch(&shared, sim, &mut st, now, ev);
         }
-
-        let mut states = states.into_iter();
-        let first = states.next().expect("coordinator LP state");
-        let (co, mut shs): (CoordLp, Vec<ShardLp>) = if single {
-            (
-                first.coord.expect("coordinator state"),
-                vec![first.shard.expect("shard state")],
-            )
-        } else {
-            (
-                first.coord.expect("coordinator state"),
-                states.map(|st| st.shard.expect("shard state")).collect(),
-            )
-        };
 
         // The calendar ran to empty; trailing impaired messages
         // (delayed or duplicated replies) may dispatch after the last
         // meaningful work, so the run's end is bookkept: the last
-        // client completion and each shard's drain quiescence.
-        let mut end = co.client_done_at;
-        for s in &shs {
-            end = end.max(s.quiesced_at);
-        }
+        // client completion and the servers' drain quiescence.
+        let end = st.co.client_done_at.max(st.sv.quiesced_at);
 
         // A final audit closes the run: recovered state must be sound
         // at quiescence, not just at the last cadence tick.
         #[cfg(feature = "audit")]
         if cfg.audit_interval.is_some() {
-            let mut audits: u64 = 1;
-            for s in &mut shs {
-                shard_audit(s, end);
-                audits += s.audits;
-            }
-            TOTAL_AUDITS.fetch_add(audits, Ordering::Relaxed);
+            server_audit(&mut st.sv, end);
+            TOTAL_AUDITS.fetch_add(1 + st.sv.audits, Ordering::Relaxed);
         }
+        let RunState { co, sv } = st;
 
         let events_dispatched = sim.dispatched() - dispatched_before;
         TOTAL_EVENTS.fetch_add(events_dispatched, Ordering::Relaxed);
 
         let mut fstats = co.fstats;
-        for s in &shs {
-            fstats.absorb(&s.fstats);
-        }
+        fstats.absorb(&sv.fstats);
 
         // Close out the replicated group for this run: accrue any
         // still-open leaderless window to `end`, then fold the per-run
@@ -1305,14 +1096,12 @@ impl Cluster {
                 commits: mds_run.commits,
             });
         }
-        for s in &mut shs {
-            for cell in &mut s.p.cells {
-                // Close degradation windows still open at run end (a
-                // lost SSD degrades the server for the rest of its life).
-                if cell.degraded_depth > 0 {
-                    fstats.degraded += end - cell.degraded_since;
-                    cell.degraded_since = end;
-                }
+        for cell in sv.cells.iter_mut() {
+            // Close degradation windows still open at run end (a lost
+            // SSD degrades the server for the rest of its life).
+            if cell.degraded_depth > 0 {
+                fstats.degraded += end - cell.degraded_since;
+                cell.degraded_since = end;
             }
         }
 
@@ -1323,19 +1112,14 @@ impl Cluster {
         // — those runs contribute no sample.
         #[cfg(feature = "obs")]
         if ibridge_obs::metrics_on() {
-            let mut s_id = 0usize;
-            for sh in &shs {
-                for cell in &sh.p.cells {
-                    let pred_s = cell.server.policy().report_t();
-                    let st = cell.server.primary().stats();
-                    let d0 = &obs_dev0[s_id];
-                    if pred_s > 0.0 && st.requests > d0.requests && st.busy >= d0.busy {
-                        let meas =
-                            (st.busy.as_nanos() - d0.busy.as_nanos()) / (st.requests - d0.requests);
-                        let pred = (pred_s * 1e9).round() as u64;
-                        ibridge_obs::metrics::record_ti(s_id as u16, pred, meas);
-                    }
-                    s_id += 1;
+            for (s_id, (cell, d0)) in sv.cells.iter().zip(&obs_dev0).enumerate() {
+                let pred_s = cell.server.policy().report_t();
+                let st = cell.server.primary().stats();
+                if pred_s > 0.0 && st.requests > d0.requests && st.busy >= d0.busy {
+                    let meas =
+                        (st.busy.as_nanos() - d0.busy.as_nanos()) / (st.requests - d0.requests);
+                    let pred = (pred_s * 1e9).round() as u64;
+                    ibridge_obs::metrics::record_ti(s_id as u16, pred, meas);
                 }
             }
         }
@@ -1353,9 +1137,9 @@ impl Cluster {
             TOTAL_MDS_LEADER_CHANGES.fetch_add(fstats.mds_leader_changes, Ordering::Relaxed);
             TOTAL_MDS_RECOVERY_NS.fetch_add(fstats.mds_recovery_ticks, Ordering::Relaxed);
         }
-        let servers: Vec<ServerRunStats> = shs
+        let servers: Vec<ServerRunStats> = sv
+            .cells
             .iter()
-            .flat_map(|sh| sh.p.cells.iter())
             .map(|cell| {
                 let s = &cell.server;
                 let (ra_hits, ra_bytes) = s.readahead_hits();
@@ -1428,8 +1212,7 @@ impl Cluster {
     }
 }
 
-/// Read-only run parameters shared by every LP's handler (captured by
-/// reference in the `Fn + Sync` dispatch closure).
+/// Read-only run parameters shared by every event handler.
 struct Shared<'c> {
     cfg: &'c ClusterConfig,
     layout: Layout,
@@ -1440,8 +1223,15 @@ struct Shared<'c> {
     start: SimTime,
 }
 
-/// Per-run state of the coordinator LP (clients + MDS).
-struct CoordLp<'r> {
+/// Per-run state of one [`Cluster::run`]: the client side and the
+/// server side.
+struct RunState<'r> {
+    co: ClientSide<'r>,
+    sv: ServerSide<'r>,
+}
+
+/// Per-run state of the client side (clients + MDS).
+struct ClientSide<'r> {
     p: &'r mut CoordPersist,
     workload: &'r mut dyn Workload,
     retry: RetryConfig,
@@ -1477,28 +1267,25 @@ struct CoordLp<'r> {
     mds_acts: Vec<MdsAction>,
 }
 
-/// Per-run state of one server-shard LP.
-struct ShardLp<'r> {
-    p: &'r mut ShardPersist,
-    /// In-flight jobs of this shard's servers (records arrive inside
-    /// `SubArrive` messages).
+/// Per-run state of the server side.
+struct ServerSide<'r> {
+    cells: &'r mut [ServerCell],
+    /// In-flight jobs of every server, filed by the client side when it
+    /// sends each sub-request.
     jobs: HashMap<JobId, PendingJob>,
     /// Reused across every calendar event: after warm-up the event loop
     /// performs no allocation for server output handling.
     out: ServerOut,
     fstats: FaultStats,
-    /// The end-of-run drain reached this shard.
+    /// The end-of-run drain has started.
     draining: bool,
     /// All cells quiescent at the last event (transition detector for
     /// `quiesced_at`).
     was_quiescent: bool,
-    /// When this shard last became quiescent during the drain.
+    /// When the servers last became quiescent during the drain.
     quiesced_at: SimTime,
     /// Pending scheduled faults per cell, cancelled when that server
-    /// reaches quiescence during the drain. Bucketed per cell — not per
-    /// shard — because a server's quiescence transition happens at the
-    /// same virtual time at any shard count, keeping the cancellation
-    /// set (and so the dispatched-event count) shard-invariant.
+    /// reaches quiescence during the drain.
     fault_ids: Vec<Vec<EventId>>,
     cell_was_q: Vec<bool>,
     lost_jobs: Vec<JobId>,
@@ -1510,17 +1297,9 @@ struct ShardLp<'r> {
     audits: u64,
 }
 
-/// One LP's state: the coordinator part, the shard part, or — when the
-/// whole cluster shares a single LP (`shards: 1`) — both.
-struct LpState<'r> {
-    coord: Option<CoordLp<'r>>,
-    shard: Option<ShardLp<'r>>,
-}
-
-/// Routes one event to the owning side of its LP's state. Static: the
-/// event type alone decides coordinator vs shard, so the split is the
-/// same on a single shared LP as on many.
-fn dispatch(sh: &Shared, port: &mut LpPort<'_, Ev>, st: &mut LpState<'_>, now: SimTime, ev: Ev) {
+/// Routes one event to the side that handles it: the event type alone
+/// decides client vs server.
+fn dispatch(sh: &Shared, sim: &mut Simulation<Ev>, st: &mut RunState<'_>, now: SimTime, ev: Ev) {
     match ev {
         Ev::Wake { .. }
         | Ev::Issue { .. }
@@ -1529,24 +1308,26 @@ fn dispatch(sh: &Shared, port: &mut LpPort<'_, Ev>, st: &mut LpState<'_>, now: S
         | Ev::ReportArrive { .. }
         | Ev::SteerOff { .. }
         | Ev::Mds(_)
-        | Ev::MdsRetry { .. } => {
-            let co = st.coord.as_mut().expect("coordinator event on server LP");
-            coord_event(sh, port, co, now, ev);
-        }
+        | Ev::MdsRetry { .. } => coord_event(sh, sim, &mut st.co, &mut st.sv.jobs, now, ev),
         Ev::Fault(ref f) if fault_server(f).is_none() => {
-            let co = st.coord.as_mut().expect("coordinator event on server LP");
-            coord_event(sh, port, co, now, ev);
+            coord_event(sh, sim, &mut st.co, &mut st.sv.jobs, now, ev)
         }
         _ => {
-            let lp = st.shard.as_mut().expect("server event on coordinator LP");
-            shard_event(sh, port, lp, now, ev);
-            shard_tail(sh, port, lp, now);
+            server_event(sh, sim, &mut st.sv, now, ev);
+            server_tail(sh, sim, &mut st.sv, now);
         }
     }
 }
 
-/// Handles one client/MDS event on the coordinator LP.
-fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: SimTime, ev: Ev) {
+/// Handles one client/MDS event.
+fn coord_event(
+    sh: &Shared,
+    sim: &mut Simulation<Ev>,
+    co: &mut ClientSide,
+    jobs: &mut HashMap<JobId, PendingJob>,
+    now: SimTime,
+    ev: Ev,
+) {
     match ev {
         Ev::Wake { proc } => {
             debug_assert_eq!(co.proc_state[proc], ProcState::Running);
@@ -1560,22 +1341,16 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
                         if !co.drain_kicked {
                             co.drain_kicked = true;
                             // Kick the end-of-run drain. The kick crosses
-                            // the fabric like any other message — one
-                            // lookahead ahead — so it lands identically
-                            // at every shard/thread count. Scheduled MDS
-                            // faults can no longer matter; cancel them so
-                            // the calendar drains to empty.
-                            let l = port.lookahead();
+                            // the fabric like any other message, one link
+                            // lookahead ahead. Scheduled MDS faults can no
+                            // longer matter; cancel them so the calendar
+                            // drains to empty.
+                            let l = sh.cfg.link.lookahead();
                             for server in 0..sh.cfg.n_servers {
-                                port.post_at(
-                                    COORD,
-                                    srv_node(server),
-                                    now + l,
-                                    Ev::DrainTick { server },
-                                );
+                                sim.post_from(COORD, now + l, Ev::DrainTick { server });
                             }
                             for id in co.fault_ids.drain(..) {
-                                port.cancel(id);
+                                sim.cancel(id);
                             }
                             // Stop replicated-MDS timers from re-arming:
                             // pending Mds/MdsRetry events become no-ops.
@@ -1583,7 +1358,7 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
                         }
                     } else if co.use_barrier {
                         // A departing process may release the barrier.
-                        maybe_release_barrier(port, &mut co.proc_state, &co.barrier_mask);
+                        maybe_release_barrier(sim, &mut co.proc_state, &co.barrier_mask);
                     }
                 }
                 Some(item) => {
@@ -1595,19 +1370,18 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
                     };
                     let delay = item.think + jitter;
                     if delay > SimDuration::ZERO {
-                        port.post_in(
+                        sim.post_from(
                             COORD,
-                            COORD,
-                            delay,
+                            now + delay,
                             Ev::Issue {
                                 proc,
                                 req: item.req,
                             },
                         );
                     } else {
-                        port.post_now(
+                        sim.post_from(
                             COORD,
-                            COORD,
+                            now,
                             Ev::Issue {
                                 proc,
                                 req: item.req,
@@ -1655,8 +1429,7 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
                 #[cfg(feature = "obs")]
                 obs_net_req(now, arrive, proc, parent, sub_idx, server);
                 if sh.faults {
-                    let tid = port.schedule_at(
-                        COORD,
+                    let tid = sim.schedule_from(
                         COORD,
                         now + co.retry.timeout,
                         Ev::SubTimeout { parent, sub_idx },
@@ -1670,8 +1443,9 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
                 }
                 post_sub_arrival(
                     sh,
-                    port,
+                    sim,
                     co,
+                    jobs,
                     now,
                     arrive,
                     sub,
@@ -1709,7 +1483,7 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
                         } else {
                             st.done = true;
                             if let Some(id) = st.timeout.take() {
-                                port.cancel(id);
+                                sim.cancel(id);
                             }
                         }
                     }
@@ -1739,9 +1513,9 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
                     debug_assert_eq!(p.proc, proc);
                     if co.use_barrier && co.barrier_mask[proc] {
                         co.proc_state[proc] = ProcState::AtBarrier;
-                        maybe_release_barrier(port, &mut co.proc_state, &co.barrier_mask);
+                        maybe_release_barrier(sim, &mut co.proc_state, &co.barrier_mask);
                     } else {
-                        port.post_now(COORD, COORD, Ev::Wake { proc });
+                        sim.post_from(COORD, now, Ev::Wake { proc });
                     }
                 }
             }
@@ -1762,9 +1536,9 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
                         // Give up: surface an error completion so
                         // the application makes progress.
                         co.fstats.failed_subs += 1;
-                        port.post_now(
+                        sim.post_from(
                             COORD,
-                            COORD,
+                            now,
                             Ev::Reply {
                                 proc,
                                 parent,
@@ -1778,8 +1552,7 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
                             .retry
                             .timeout
                             .mul_f64(co.retry.backoff.powi(st.attempt as i32));
-                        st.timeout = Some(port.schedule_at(
-                            COORD,
+                        st.timeout = Some(sim.schedule_from(
                             COORD,
                             now + wait,
                             Ev::SubTimeout { parent, sub_idx },
@@ -1797,8 +1570,9 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
                 obs_net_req(now, arrive, rproc, parent, sub_idx, server);
                 post_sub_arrival(
                     sh,
-                    port,
+                    sim,
                     co,
+                    jobs,
                     now,
                     arrive,
                     sub,
@@ -1813,7 +1587,7 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
             if co.p.mds.is_some() {
                 // Replicated path: the report becomes a log entry; the
                 // table mutates (and broadcasts) only at commit.
-                mds_propose(sh, port, co, now, MdsEntry::TReport { server, t }, 0);
+                mds_propose(sh, sim, co, now, MdsEntry::TReport { server, t }, 0);
             } else if co.p.mds_down {
                 // The MDS is down: the report is lost and no
                 // broadcast goes out. Servers keep serving with
@@ -1823,14 +1597,14 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
                 co.p.mds_table[server] = t;
                 co.p.mds_version += 1;
                 let version = co.p.mds_version;
-                mds_broadcast(sh, port, co, now, version);
+                mds_broadcast(sh, sim, co, now, version);
             }
         }
         Ev::SteerOff { server } => {
             // The MDS stops steering fragments at a server that lost
             // its SSD.
             if co.p.mds.is_some() {
-                mds_propose(sh, port, co, now, MdsEntry::SteerOff { server }, 0);
+                mds_propose(sh, sim, co, now, MdsEntry::SteerOff { server }, 0);
             } else {
                 co.p.mds_table[server] = 0.0;
             }
@@ -1846,13 +1620,13 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
                     .as_mut()
                     .expect("MDS message without a replicated group")
                     .handle(now, msg, &mut acts);
-                mds_apply(sh, port, co, now, &mut acts);
+                mds_apply(sh, sim, co, now, &mut acts);
                 co.mds_acts = acts;
             }
         }
         Ev::MdsRetry { entry, attempt } => {
             if !co.mds_shutdown {
-                mds_propose(sh, port, co, now, entry, attempt);
+                mds_propose(sh, sim, co, now, entry, attempt);
             }
         }
         Ev::Fault(fault) => match fault {
@@ -1863,7 +1637,7 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
                     if g.crash_leader(now, &mut acts).is_some() {
                         co.fstats.mds_crashes += 1;
                     }
-                    mds_apply(sh, port, co, now, &mut acts);
+                    mds_apply(sh, sim, co, now, &mut acts);
                     co.mds_acts = acts;
                 } else if !co.p.mds_down {
                     co.p.mds_down = true;
@@ -1878,7 +1652,7 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
                         let mut acts = std::mem::take(&mut co.mds_acts);
                         acts.clear();
                         g.restart_crashed(now, &mut acts);
-                        mds_apply(sh, port, co, now, &mut acts);
+                        mds_apply(sh, sim, co, now, &mut acts);
                         co.mds_acts = acts;
                     }
                 } else if co.p.mds_down {
@@ -1892,7 +1666,7 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
                     acts.clear();
                     g.partition_leader(now, &mut acts);
                     co.fstats.mds_crashes += 1;
-                    mds_apply(sh, port, co, now, &mut acts);
+                    mds_apply(sh, sim, co, now, &mut acts);
                     co.mds_acts = acts;
                 } else if !co.p.mds_down {
                     // Degenerate single-MDS partition: unreachable is
@@ -1907,7 +1681,7 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
                     acts.clear();
                     g.heal(now, &mut acts);
                     co.fstats.mds_restarts += 1;
-                    mds_apply(sh, port, co, now, &mut acts);
+                    mds_apply(sh, sim, co, now, &mut acts);
                     co.mds_acts = acts;
                 } else if co.p.mds_down {
                     co.p.mds_down = false;
@@ -1923,7 +1697,7 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
 /// True when iBridge clients cannot see a live metadata service: the
 /// single MDS is crashed, or the replicated group has no elected (and
 /// reachable) leader right now.
-fn mds_unreachable(co: &CoordLp) -> bool {
+fn mds_unreachable(co: &ClientSide) -> bool {
     match co.p.mds.as_ref() {
         Some(g) => g.leader().is_none(),
         None => co.p.mds_down,
@@ -1937,8 +1711,8 @@ fn mds_unreachable(co: &CoordLp) -> bool {
 /// broadcast — the same degradation signal as the single-MDS path.
 fn mds_propose(
     sh: &Shared,
-    port: &mut LpPort<'_, Ev>,
-    co: &mut CoordLp,
+    sim: &mut Simulation<Ev>,
+    co: &mut ClientSide,
     now: SimTime,
     entry: MdsEntry,
     attempt: u32,
@@ -1952,14 +1726,13 @@ fn mds_propose(
             .as_mut()
             .expect("MDS proposal without a replicated group")
             .propose(now, entry.clone(), &mut acts);
-    mds_apply(sh, port, co, now, &mut acts);
+    mds_apply(sh, sim, co, now, &mut acts);
     co.mds_acts = acts;
     if !accepted {
         if attempt >= MDS_RETRY_MAX {
             co.fstats.stalled_broadcasts += 1;
         } else {
-            port.post_at(
-                COORD,
+            sim.post_from(
                 COORD,
                 now + MDS_RETRY_BACKOFF,
                 Ev::MdsRetry {
@@ -1976,15 +1749,15 @@ fn mds_propose(
 /// broadcasts the new version), and traces leadership changes.
 fn mds_apply(
     sh: &Shared,
-    port: &mut LpPort<'_, Ev>,
-    co: &mut CoordLp,
+    sim: &mut Simulation<Ev>,
+    co: &mut ClientSide,
     now: SimTime,
     acts: &mut Vec<MdsAction>,
 ) {
     for a in acts.drain(..) {
         match a {
             MdsAction::Deliver { at, msg } => {
-                port.post_at(COORD, COORD, at, Ev::Mds(msg));
+                sim.post_from(COORD, at, Ev::Mds(msg));
             }
             MdsAction::Commit {
                 index,
@@ -1999,7 +1772,7 @@ fn mds_apply(
                     MdsEntry::TReport { server, t } => {
                         co.p.mds_table[server] = t;
                         co.p.mds_version = index;
-                        mds_broadcast(sh, port, co, now, index);
+                        mds_broadcast(sh, sim, co, now, index);
                     }
                     MdsEntry::SteerOff { server } => {
                         co.p.mds_table[server] = 0.0;
@@ -2021,8 +1794,8 @@ fn mds_apply(
 /// the metadata `version` that produced it.
 fn mds_broadcast(
     sh: &Shared,
-    port: &mut LpPort<'_, Ev>,
-    co: &mut CoordLp,
+    sim: &mut Simulation<Ev>,
+    co: &mut ClientSide,
     now: SimTime,
     version: u64,
 ) {
@@ -2030,9 +1803,8 @@ fn mds_broadcast(
     let table: Arc<[f64]> = Arc::from(co.p.mds_table.as_slice());
     for dest in 0..sh.cfg.n_servers {
         let arrive = co.p.mds_link.send(now, 64 * sh.cfg.n_servers as u64);
-        port.post_at(
+        sim.post_from(
             COORD,
-            srv_node(dest),
             arrive,
             Ev::Broadcast {
                 server: dest,
@@ -2043,51 +1815,42 @@ fn mds_broadcast(
     }
 }
 
-/// Handles one data-server event on its shard LP.
-fn shard_event(sh: &Shared, port: &mut LpPort<'_, Ev>, lp: &mut ShardLp, now: SimTime, ev: Ev) {
+/// Handles one data-server event.
+fn server_event(sh: &Shared, sim: &mut Simulation<Ev>, sv: &mut ServerSide, now: SimTime, ev: Ev) {
     match ev {
-        Ev::SubArrive {
-            server,
-            job,
-            mut pj,
-        } => {
-            let ci = server - lp.p.lo;
-            if lp.p.cells[ci].down {
+        Ev::SubArrive { server, job } => {
+            if sv.cells[server].down {
                 // The message reached a dead endpoint; the
                 // client's timeout recovers it.
-                lp.fstats.dropped_messages += 1;
-                pj_recycle(pj);
+                sv.fstats.dropped_messages += 1;
+                sv.jobs.remove(&job);
             } else {
-                let exec_at = lp.p.cells[ci].server.cpu_admit(now);
+                let exec_at = sv.cells[server].server.cpu_admit(now);
                 #[cfg(feature = "obs")]
                 obs_srv_queue(now, exec_at, server, job);
-                let epoch = lp.p.cells[ci].srv_epoch;
-                let pjv = std::mem::take(&mut *pj);
-                pj_recycle(pj);
-                lp.jobs.insert(job, pjv);
+                let epoch = sv.cells[server].srv_epoch;
                 let node = srv_node(server);
-                port.post_at(node, node, exec_at, Ev::SubExec { server, job, epoch });
+                sim.post_from(node, exec_at, Ev::SubExec { server, job, epoch });
             }
         }
         Ev::SubExec { server, job, epoch } => {
-            let ci = server - lp.p.lo;
-            if epoch != lp.p.cells[ci].srv_epoch {
+            if epoch != sv.cells[server].srv_epoch {
                 // Admitted by a process instance that has since
                 // crashed.
-                lp.jobs.remove(&job);
-                lp.fstats.stale_completions += 1;
+                sv.jobs.remove(&job);
+                sv.fstats.stale_completions += 1;
             } else {
                 let (sub, proc) = {
-                    let pj = lp.jobs.get_mut(&job).expect("executing unknown job");
+                    let pj = sv.jobs.get_mut(&job).expect("executing unknown job");
                     (pj.sub.take().expect("job executed twice"), pj.proc)
                 };
-                let mut out = std::mem::take(&mut lp.out);
+                let mut out = std::mem::take(&mut sv.out);
                 out.clear();
-                lp.p.cells[ci]
+                sv.cells[server]
                     .server
                     .exec_subreq(now, job, proc as u64, sub, &mut out);
-                shard_server_out(sh, port, lp, now, server, &mut out);
-                lp.out = out;
+                server_out(sh, sim, sv, now, server, &mut out);
+                sv.out = out;
             }
         }
         Ev::DevComplete {
@@ -2095,20 +1858,19 @@ fn shard_event(sh: &Shared, port: &mut LpPort<'_, Ev>, lp: &mut ShardLp, now: Si
             kind,
             epoch,
         } => {
-            let ci = server - lp.p.lo;
-            if epoch != lp.p.cells[ci].dev_epoch[dev_idx(kind)] {
-                lp.fstats.stale_completions += 1;
+            if epoch != sv.cells[server].dev_epoch[dev_idx(kind)] {
+                sv.fstats.stale_completions += 1;
             } else {
-                let mut out = std::mem::take(&mut lp.out);
+                let mut out = std::mem::take(&mut sv.out);
                 out.clear();
-                lp.p.cells[ci].server.on_dev_complete(now, kind, &mut out);
-                if lp.draining && !lp.p.cells[ci].server.quiescent() {
+                sv.cells[server].server.on_dev_complete(now, kind, &mut out);
+                if sv.draining && !sv.cells[server].server.quiescent() {
                     // Appends into the same output; ordering matches
                     // the completion actions followed by the flush's.
-                    lp.p.cells[ci].server.writeback_tick(now, true, &mut out);
+                    sv.cells[server].server.writeback_tick(now, true, &mut out);
                 }
-                shard_server_out(sh, port, lp, now, server, &mut out);
-                lp.out = out;
+                server_out(sh, sim, sv, now, server, &mut out);
+                sv.out = out;
             }
         }
         Ev::DevRecheck {
@@ -2117,38 +1879,36 @@ fn shard_event(sh: &Shared, port: &mut LpPort<'_, Ev>, lp: &mut ShardLp, now: Si
             gen,
             epoch,
         } => {
-            let ci = server - lp.p.lo;
-            if epoch != lp.p.cells[ci].dev_epoch[dev_idx(kind)] {
-                lp.fstats.stale_completions += 1;
+            if epoch != sv.cells[server].dev_epoch[dev_idx(kind)] {
+                sv.fstats.stale_completions += 1;
             } else {
-                let mut out = std::mem::take(&mut lp.out);
+                let mut out = std::mem::take(&mut sv.out);
                 out.clear();
-                lp.p.cells[ci]
+                sv.cells[server]
                     .server
                     .on_dev_recheck(now, kind, gen, &mut out);
-                shard_server_out(sh, port, lp, now, server, &mut out);
-                lp.out = out;
+                server_out(sh, sim, sv, now, server, &mut out);
+                sv.out = out;
             }
         }
         Ev::Fault(fault) => {
-            apply_shard_fault(port, lp, now, fault);
+            apply_server_fault(sh, sim, sv, now, fault);
         }
         Ev::Report { server } => {
             // A crashed server cannot report; a degraded one
             // (lost SSD) stays silent so the MDS keeps its slot
             // zeroed and fragments stop being steered at it.
-            let ci = server - lp.p.lo;
             let node = srv_node(server);
             {
-                let cell = &mut lp.p.cells[ci];
+                let cell = &mut sv.cells[server];
                 if !cell.down && !cell.server.policy().is_degraded() {
                     let t = cell.server.policy().report_t();
                     let arrive = cell.link.send(now, 128);
-                    port.post_at(node, COORD, arrive, Ev::ReportArrive { server, t });
+                    sim.post_from(node, arrive, Ev::ReportArrive { server, t });
                 }
             }
-            if !lp.draining {
-                port.post_in(node, node, sh.cfg.report_interval, Ev::Report { server });
+            if !sv.draining {
+                sim.post_from(node, now + sh.cfg.report_interval, Ev::Report { server });
             }
         }
         Ev::Broadcast {
@@ -2156,8 +1916,7 @@ fn shard_event(sh: &Shared, port: &mut LpPort<'_, Ev>, lp: &mut ShardLp, now: Si
             version,
             table,
         } => {
-            let ci = server - lp.p.lo;
-            let cell = &mut lp.p.cells[ci];
+            let cell = &mut sv.cells[server];
             // Metadata versions are monotone: commits apply in log
             // order and the fan-out crosses one FIFO link per server.
             assert!(
@@ -2170,92 +1929,89 @@ fn shard_event(sh: &Shared, port: &mut LpPort<'_, Ev>, lp: &mut ShardLp, now: Si
             }
         }
         Ev::WritebackTick { server } => {
-            let ci = server - lp.p.lo;
-            if !lp.p.cells[ci].down {
-                let mut out = std::mem::take(&mut lp.out);
+            if !sv.cells[server].down {
+                let mut out = std::mem::take(&mut sv.out);
                 out.clear();
-                lp.p.cells[ci].server.writeback_tick(now, false, &mut out);
+                sv.cells[server].server.writeback_tick(now, false, &mut out);
                 debug_assert!(out.done_jobs.is_empty());
-                shard_server_out(sh, port, lp, now, server, &mut out);
-                lp.out = out;
+                server_out(sh, sim, sv, now, server, &mut out);
+                sv.out = out;
             }
-            if !lp.draining {
+            if !sv.draining {
                 let node = srv_node(server);
-                port.post_in(
+                sim.post_from(
                     node,
-                    node,
-                    sh.cfg.writeback_interval,
+                    now + sh.cfg.writeback_interval,
                     Ev::WritebackTick { server },
                 );
             }
         }
         Ev::DrainTick { server } => {
-            lp.draining = true;
-            let ci = server - lp.p.lo;
-            if !lp.p.cells[ci].down {
-                let mut out = std::mem::take(&mut lp.out);
+            sv.draining = true;
+            if !sv.cells[server].down {
+                let mut out = std::mem::take(&mut sv.out);
                 out.clear();
-                lp.p.cells[ci].server.writeback_tick(now, true, &mut out);
+                sv.cells[server].server.writeback_tick(now, true, &mut out);
                 debug_assert!(out.done_jobs.is_empty());
-                shard_server_out(sh, port, lp, now, server, &mut out);
-                lp.out = out;
+                server_out(sh, sim, sv, now, server, &mut out);
+                sv.out = out;
             }
         }
-        _ => unreachable!("coordinator event routed to a server shard"),
+        _ => unreachable!("client event routed to the server side"),
     }
 }
 
-/// Post-event bookkeeping of a shard: the audit cadence and the drain
-/// quiescence detector. Runs after every shard event, so a state change
-/// is observed at the event that caused it — the same virtual time at
-/// any shard count.
-fn shard_tail(sh: &Shared, port: &mut LpPort<'_, Ev>, lp: &mut ShardLp, now: SimTime) {
+/// Post-event bookkeeping of the server side: the audit cadence and the
+/// drain quiescence detector. Runs after every server event, so a state
+/// change is observed at the event that caused it.
+fn server_tail(sh: &Shared, sim: &mut Simulation<Ev>, sv: &mut ServerSide, now: SimTime) {
     // Online invariant auditor: piggybacked synchronously on event
     // dispatch (never posts events, never draws randomness), so the
     // calendar — and therefore every observable output — is
     // byte-identical with auditing on or off.
     #[cfg(feature = "audit")]
-    if let Some(due) = lp.next_audit {
+    if let Some(due) = sv.next_audit {
         if now >= due {
-            shard_audit(lp, now);
-            lp.audits += 1;
+            server_audit(sv, now);
+            sv.audits += 1;
             let iv = sh.cfg.audit_interval.expect("auditor armed with interval");
-            lp.next_audit = Some(now + iv);
+            sv.next_audit = Some(now + iv);
         }
     }
     #[cfg(not(feature = "audit"))]
     let _ = sh;
-    if lp.draining {
+    if sv.draining {
         let mut all_q = true;
-        for ci in 0..lp.p.cells.len() {
-            let q = lp.p.cells[ci].server.quiescent();
-            if q && !lp.cell_was_q[ci] {
+        for ci in 0..sv.cells.len() {
+            let q = sv.cells[ci].server.quiescent();
+            if q && !sv.cell_was_q[ci] {
                 // This server just went quiescent: faults still
                 // scheduled against it can no longer affect the run;
                 // unschedule them so the calendar drains to empty.
-                for id in lp.fault_ids[ci].drain(..) {
-                    port.cancel(id);
+                for id in sv.fault_ids[ci].drain(..) {
+                    sim.cancel(id);
                 }
             }
-            lp.cell_was_q[ci] = q;
+            sv.cell_was_q[ci] = q;
             all_q &= q;
         }
-        if all_q && !lp.was_quiescent {
-            lp.quiesced_at = now;
+        if all_q && !sv.was_quiescent {
+            sv.quiesced_at = now;
         }
-        lp.was_quiescent = all_q;
+        sv.was_quiescent = all_q;
     }
 }
 
 /// Routes one client→server sub-request message through the armed
 /// network impairments (a straight delivery when no plan is armed). The
-/// job record travels inside the message; its id is allocated here so
-/// the id sequence is identical at any shard/thread count.
+/// job id is allocated here, on the client side, and the job's record is
+/// filed in `jobs` for every copy of the message that will arrive.
 #[allow(clippy::too_many_arguments)]
 fn post_sub_arrival(
     sh: &Shared,
-    port: &mut LpPort<'_, Ev>,
-    co: &mut CoordLp,
+    sim: &mut Simulation<Ev>,
+    co: &mut ClientSide,
+    jobs: &mut HashMap<JobId, PendingJob>,
     now: SimTime,
     arrive: SimTime,
     sub: SubRequest,
@@ -2265,56 +2021,45 @@ fn post_sub_arrival(
     sub_idx: u32,
 ) {
     let server = sub.server;
-    let node = srv_node(server);
     let job = co.p.next_job;
     co.p.next_job += 1;
-    let pj = pj_box(PendingJob {
+    let pj = PendingJob {
         sub: Some(sub),
         reply_bytes,
         proc,
         parent,
         server,
         sub_idx,
-    });
+    };
     match net_decision(&mut co.p.decider, now - sh.start) {
         NetDecision::Deliver => {
-            port.post_at(COORD, node, arrive, Ev::SubArrive { server, job, pj });
+            jobs.insert(job, pj);
+            sim.post_from(COORD, arrive, Ev::SubArrive { server, job });
         }
         NetDecision::Drop => {
-            // The client's timeout retransmits; the record dies with
-            // the message, so the server never learns the job id.
+            // The client's timeout retransmits; the server never learns
+            // the job id.
             co.fstats.dropped_messages += 1;
-            pj_recycle(pj);
         }
         NetDecision::Delay(d) => {
             co.fstats.delayed_messages += 1;
-            port.post_at(COORD, node, arrive + d, Ev::SubArrive { server, job, pj });
+            jobs.insert(job, pj);
+            sim.post_from(COORD, arrive + d, Ev::SubArrive { server, job });
         }
         NetDecision::Duplicate => {
             co.fstats.duplicated_messages += 1;
             // The copy travels as its own job so the server can hold
             // both at once; the client deduplicates on reply.
-            let copy = pj_box(PendingJob {
-                sub: pj.sub.clone(),
-                reply_bytes: pj.reply_bytes,
-                proc: pj.proc,
-                parent: pj.parent,
-                server: pj.server,
-                sub_idx: pj.sub_idx,
-            });
-            port.post_at(COORD, node, arrive, Ev::SubArrive { server, job, pj });
             let job2 = co.p.next_job;
             co.p.next_job += 1;
-            port.post_at(
-                COORD,
-                node,
-                arrive,
-                Ev::SubArrive {
-                    server,
-                    job: job2,
-                    pj: copy,
-                },
-            );
+            let copy = PendingJob {
+                sub: pj.sub.clone(),
+                ..pj
+            };
+            jobs.insert(job, pj);
+            jobs.insert(job2, copy);
+            sim.post_from(COORD, arrive, Ev::SubArrive { server, job });
+            sim.post_from(COORD, arrive, Ev::SubArrive { server, job: job2 });
         }
     }
 }
@@ -2324,22 +2069,20 @@ fn post_sub_arrival(
 /// (device actions first, then replies in completion order) is part
 /// of the determinism contract: ties on the calendar break by the
 /// poster's sequence numbers.
-fn shard_server_out(
+fn server_out(
     sh: &Shared,
-    port: &mut LpPort<'_, Ev>,
-    lp: &mut ShardLp,
+    sim: &mut Simulation<Ev>,
+    sv: &mut ServerSide,
     now: SimTime,
     server: usize,
     out: &mut ServerOut,
 ) {
-    let ci = server - lp.p.lo;
     let node = srv_node(server);
     for (kind, action) in out.dev_actions.drain(..) {
-        let epoch = lp.p.cells[ci].dev_epoch[dev_idx(kind)];
+        let epoch = sv.cells[server].dev_epoch[dev_idx(kind)];
         match action {
             Action::CompleteAt(t) => {
-                port.post_at(
-                    node,
+                sim.post_from(
                     node,
                     t,
                     Ev::DevComplete {
@@ -2350,8 +2093,7 @@ fn shard_server_out(
                 );
             }
             Action::RecheckAt(t, gen) => {
-                port.post_at(
-                    node,
+                sim.post_from(
                     node,
                     t,
                     Ev::DevRecheck {
@@ -2365,16 +2107,15 @@ fn shard_server_out(
         }
     }
     for job in out.done_jobs.drain(..) {
-        let pj = lp.jobs.remove(&job).expect("done job unknown to cluster");
-        let arrive = lp.p.cells[ci].link.send(now, pj.reply_bytes);
+        let pj = sv.jobs.remove(&job).expect("done job unknown to cluster");
+        let arrive = sv.cells[server].link.send(now, pj.reply_bytes);
         let (proc, parent, sub_idx) = (pj.proc, pj.parent, pj.sub_idx);
         #[cfg(feature = "obs")]
         obs_net_reply(now, arrive, server, parent, sub_idx, pj.reply_bytes);
-        match net_decision(&mut lp.p.cells[ci].decider, now - sh.start) {
+        match net_decision(&mut sv.cells[server].decider, now - sh.start) {
             NetDecision::Deliver => {
-                port.post_at(
+                sim.post_from(
                     node,
-                    COORD,
                     arrive,
                     Ev::Reply {
                         proc,
@@ -2386,13 +2127,12 @@ fn shard_server_out(
             NetDecision::Drop => {
                 // The client's timeout retransmits; the server will
                 // serve the retry again.
-                lp.fstats.dropped_messages += 1;
+                sv.fstats.dropped_messages += 1;
             }
             NetDecision::Delay(d) => {
-                lp.fstats.delayed_messages += 1;
-                port.post_at(
+                sv.fstats.delayed_messages += 1;
+                sim.post_from(
                     node,
-                    COORD,
                     arrive + d,
                     Ev::Reply {
                         proc,
@@ -2402,11 +2142,10 @@ fn shard_server_out(
                 );
             }
             NetDecision::Duplicate => {
-                lp.fstats.duplicated_messages += 1;
+                sv.fstats.duplicated_messages += 1;
                 for _ in 0..2 {
-                    port.post_at(
+                    sim.post_from(
                         node,
-                        COORD,
                         arrive,
                         Ev::Reply {
                             proc,
@@ -2446,15 +2185,20 @@ fn degrade_end(fstats: &mut FaultStats, cell: &mut ServerCell, now: SimTime) {
     }
 }
 
-/// Applies one scheduled data-server fault on its shard LP.
-fn apply_shard_fault(port: &mut LpPort<'_, Ev>, lp: &mut ShardLp, now: SimTime, fault: TimedFault) {
+/// Applies one scheduled data-server fault.
+fn apply_server_fault(
+    sh: &Shared,
+    sim: &mut Simulation<Ev>,
+    sv: &mut ServerSide,
+    now: SimTime,
+    fault: TimedFault,
+) {
     match fault {
         TimedFault::Crash { server } => {
-            let ci = server - lp.p.lo;
-            let cell = &mut lp.p.cells[ci];
+            let cell = &mut sv.cells[server];
             if !cell.down {
                 cell.down = true;
-                lp.fstats.crashes += 1;
+                sv.fstats.crashes += 1;
                 cell.srv_epoch = cell.srv_epoch.wrapping_add(1);
                 cell.dev_epoch[0] = cell.dev_epoch[0].wrapping_add(1);
                 cell.dev_epoch[1] = cell.dev_epoch[1].wrapping_add(1);
@@ -2462,51 +2206,49 @@ fn apply_shard_fault(port: &mut LpPort<'_, Ev>, lp: &mut ShardLp, now: SimTime, 
                 degrade_start(cell, now);
                 // Sub-requests in the dead process's custody vanish
                 // with it; the clients' timeouts recover them.
-                lp.jobs
+                sv.jobs
                     .retain(|_, pj| !(pj.server == server && pj.sub.is_none()));
             }
         }
         TimedFault::Restart { server } => {
-            let ci = server - lp.p.lo;
-            let cell = &mut lp.p.cells[ci];
+            let cell = &mut sv.cells[server];
             if cell.down {
                 cell.down = false;
-                lp.fstats.restarts += 1;
+                sv.fstats.restarts += 1;
                 let report = cell.server.restart(now);
-                lp.fstats.clean_entries_dropped += report.clean_entries_dropped;
-                lp.fstats.pending_entries_dropped += report.pending_entries_dropped;
-                lp.fstats.fsck_records_scanned += report.records_scanned;
-                lp.fstats.fsck_records_quarantined += report.records_quarantined;
-                lp.fstats.dirty_bytes_lost += report.dirty_bytes_lost;
-                degrade_end(&mut lp.fstats, &mut lp.p.cells[ci], now);
-                if lp.draining {
+                sv.fstats.clean_entries_dropped += report.clean_entries_dropped;
+                sv.fstats.pending_entries_dropped += report.pending_entries_dropped;
+                sv.fstats.fsck_records_scanned += report.records_scanned;
+                sv.fstats.fsck_records_quarantined += report.records_quarantined;
+                sv.fstats.dirty_bytes_lost += report.dirty_bytes_lost;
+                degrade_end(&mut sv.fstats, &mut sv.cells[server], now);
+                if sv.draining {
                     // Replayed dirty entries must still be written
-                    // back for the run to quiesce. The restart runs
-                    // on the server's own LP, so the kick is local.
+                    // back for the run to quiesce; the server kicks
+                    // its own drain.
                     let node = srv_node(server);
-                    port.post_now(node, node, Ev::DrainTick { server });
+                    sim.post_from(node, now, Ev::DrainTick { server });
                 }
             }
         }
         TimedFault::SsdLoss { server } => {
-            let ci = server - lp.p.lo;
-            if lp.p.cells[ci].server.cache().is_some() {
-                lp.fstats.ssd_losses += 1;
-                lp.p.cells[ci].dev_epoch[1] = lp.p.cells[ci].dev_epoch[1].wrapping_add(1);
-                let mut lost_jobs = std::mem::take(&mut lp.lost_jobs);
+            if sv.cells[server].server.cache().is_some() {
+                sv.fstats.ssd_losses += 1;
+                sv.cells[server].dev_epoch[1] = sv.cells[server].dev_epoch[1].wrapping_add(1);
+                let mut lost_jobs = std::mem::take(&mut sv.lost_jobs);
                 lost_jobs.clear();
-                let lost = lp.p.cells[ci].server.lose_cache_dev(now, &mut lost_jobs);
-                lp.fstats.dirty_bytes_lost += lost;
+                let lost = sv.cells[server].server.lose_cache_dev(now, &mut lost_jobs);
+                sv.fstats.dirty_bytes_lost += lost;
                 for job in lost_jobs.drain(..) {
-                    lp.jobs.remove(&job);
+                    sv.jobs.remove(&job);
                 }
-                lp.lost_jobs = lost_jobs;
+                sv.lost_jobs = lost_jobs;
                 // Tell the MDS to stop steering fragments at this
-                // server; its table lives on the coordinator LP, one
+                // server; its table lives on the client node, one link
                 // lookahead away.
                 let node = srv_node(server);
-                port.post_at(node, COORD, now + port.lookahead(), Ev::SteerOff { server });
-                degrade_start(&mut lp.p.cells[ci], now);
+                sim.post_from(node, now + sh.cfg.link.lookahead(), Ev::SteerOff { server });
+                degrade_start(&mut sv.cells[server], now);
             }
         }
         TimedFault::SlowStart {
@@ -2514,26 +2256,25 @@ fn apply_shard_fault(port: &mut LpPort<'_, Ev>, lp: &mut ShardLp, now: SimTime, 
             dev,
             factor,
         } => {
-            let ci = server - lp.p.lo;
-            lp.fstats.slow_windows += 1;
-            lp.p.cells[ci].server.set_slow_factor(devkind(dev), factor);
-            degrade_start(&mut lp.p.cells[ci], now);
+            sv.fstats.slow_windows += 1;
+            sv.cells[server]
+                .server
+                .set_slow_factor(devkind(dev), factor);
+            degrade_start(&mut sv.cells[server], now);
         }
         TimedFault::SlowEnd { server, dev } => {
-            let ci = server - lp.p.lo;
-            lp.p.cells[ci].server.set_slow_factor(devkind(dev), 1.0);
-            degrade_end(&mut lp.fstats, &mut lp.p.cells[ci], now);
+            sv.cells[server].server.set_slow_factor(devkind(dev), 1.0);
+            degrade_end(&mut sv.fstats, &mut sv.cells[server], now);
         }
         TimedFault::TornWrite { server, records } => {
             // Fires immediately before its Crash (same instant, plan
             // order): the records are torn on media before the
             // restart's recovery fsck ever sees them.
-            let ci = server - lp.p.lo;
-            if !lp.p.cells[ci].down {
-                lp.p.cells[ci]
+            if !sv.cells[server].down {
+                sv.cells[server]
                     .server
                     .corrupt_cache(now, LogCorruption::TornWrite { records });
-                lp.fstats.torn_writes += 1;
+                sv.fstats.torn_writes += 1;
             }
         }
         TimedFault::BitRot {
@@ -2542,14 +2283,13 @@ fn apply_shard_fault(port: &mut LpPort<'_, Ev>, lp: &mut ShardLp, now: SimTime, 
             seed,
             target,
         } => {
-            let ci = server - lp.p.lo;
-            if !lp.p.cells[ci].down {
+            if !sv.cells[server].down {
                 let target = match target {
                     RotTarget::Any => BitRotTarget::Any,
                     RotTarget::Tail => BitRotTarget::Tail,
                     RotTarget::Checkpoint => BitRotTarget::Checkpoint,
                 };
-                let hit = lp.p.cells[ci].server.corrupt_cache(
+                let hit = sv.cells[server].server.corrupt_cache(
                     now,
                     LogCorruption::BitRot {
                         sectors,
@@ -2557,7 +2297,7 @@ fn apply_shard_fault(port: &mut LpPort<'_, Ev>, lp: &mut ShardLp, now: SimTime, 
                         target,
                     },
                 );
-                lp.fstats.rotted_records += hit;
+                sv.fstats.rotted_records += hit;
             }
         }
         TimedFault::MdsCrash
@@ -2566,13 +2306,13 @@ fn apply_shard_fault(port: &mut LpPort<'_, Ev>, lp: &mut ShardLp, now: SimTime, 
         | TimedFault::MdsLeaderRestart
         | TimedFault::MdsPartitionStart
         | TimedFault::MdsPartitionHeal => {
-            unreachable!("MDS fault routed to a server shard")
+            unreachable!("MDS fault routed to the server side")
         }
     }
 }
 
 fn maybe_release_barrier(
-    port: &mut LpPort<'_, Ev>,
+    sim: &mut Simulation<Ev>,
     proc_state: &mut [ProcState],
     barrier_mask: &[bool],
 ) {
@@ -2587,42 +2327,38 @@ fn maybe_release_barrier(
     for (proc, st) in proc_state.iter_mut().enumerate() {
         if *st == ProcState::AtBarrier {
             *st = ProcState::Running;
-            port.post_now(COORD, COORD, Ev::Wake { proc });
+            sim.post_from(COORD, sim.now(), Ev::Wake { proc });
         }
     }
 }
 
-/// One pass of the online invariant auditor over a shard: cross-checks
+/// One pass of the online invariant auditor over the servers: cross-checks
 /// every live server's policy invariants (partition accounting,
 /// mapping-table index/LRU agreement, log residency — see
 /// `CachePolicy::audit`) and the monotonicity of process epochs since
 /// the previous pass. Aborts the simulation with a structured
 /// diagnostic on the first violation; a passing audit leaves no trace.
 #[cfg(feature = "audit")]
-fn shard_audit(lp: &mut ShardLp, now: SimTime) {
-    for (i, cell) in lp.p.cells.iter().enumerate() {
+fn server_audit(sv: &mut ServerSide, now: SimTime) {
+    for (i, cell) in sv.cells.iter().enumerate() {
         if cell.down {
             continue;
         }
         if let Err(why) = cell.server.policy().audit() {
             panic!(
                 "invariant audit failed: time={:?} server={} down={} epoch={}: {}",
-                now,
-                lp.p.lo + i,
-                cell.down,
-                cell.srv_epoch,
-                why
+                now, i, cell.down, cell.srv_epoch, why
             );
         }
     }
-    for (i, prev) in lp.audit_epochs.iter_mut().enumerate() {
-        let cur = lp.p.cells[i].srv_epoch;
+    for (i, (prev, cell)) in sv.audit_epochs.iter_mut().zip(sv.cells.iter()).enumerate() {
+        let cur = cell.srv_epoch;
         assert!(
             cur >= *prev,
             "invariant audit failed: time={:?} server={}: process epoch moved \
              backwards ({} -> {})",
             now,
-            lp.p.lo + i,
+            i,
             *prev,
             cur,
         );
@@ -3001,66 +2737,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_runs_match_serial_at_any_shard_and_thread_count() {
-        let run = |shards: usize, threads: usize| {
-            let cfg = ClusterConfig {
-                n_servers: 8,
-                shards,
-                threads,
-                ..Default::default()
-            };
-            let mut c = Cluster::new(cfg, |_| Box::new(StockPolicy::new()));
-            c.preallocate(FileHandle(1), 16 << 20);
-            let mut w = seq(IoDir::Read, 4, 65 * 1024, 8);
-            let stats = c.run(&mut w);
-            format!("{stats:?}")
-        };
-        let reference = run(1, 1);
-        for &shards in &[1usize, 2, 4] {
-            for &threads in &[1usize, 2, 4] {
-                assert_eq!(
-                    run(shards, threads),
-                    reference,
-                    "shards={shards} threads={threads} diverged from serial"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn threaded_faulty_runs_match_single_threaded() {
-        let run = |shards: usize, threads: usize| {
-            let cfg = ClusterConfig {
-                n_servers: 4,
-                shards,
-                threads,
-                ..Default::default()
-            };
-            let mut c = Cluster::new(cfg, |_| Box::new(StockPolicy::new()));
-            let plan = FaultPlan::parse(
-                "retry timeout=5ms backoff=2 max=12\n\
-                 crash server=1 at=2ms restart=20ms\n\
-                 net from=0ms until=60s drop=0.1 delay=0.1 delay-by=2ms dup=0.05",
-            )
-            .unwrap();
-            c.set_fault_plan(&plan);
-            c.preallocate(FileHandle(1), 8 << 20);
-            let mut w = seq(IoDir::Read, 2, 65536, 16);
-            let s = c.run(&mut w);
-            (s.elapsed, s.events_dispatched, s.faults)
-        };
-        let reference = run(1, 1);
-        assert!(!reference.2.is_zero());
-        for &(shards, threads) in &[(2usize, 1usize), (2, 4), (4, 2)] {
-            assert_eq!(
-                run(shards, threads),
-                reference,
-                "shards={shards} threads={threads} diverged under faults"
-            );
-        }
-    }
-
-    #[test]
     fn replicated_mds_is_client_invisible_on_stock_clusters() {
         // All raft traffic is coordinator-local: without iBridge
         // steering there are no T-reports to replicate, so the client
@@ -3099,12 +2775,10 @@ mod tests {
     }
 
     #[test]
-    fn replicated_mds_runs_match_at_any_shard_and_thread_count() {
-        let run = |shards: usize, threads: usize| {
+    fn replicated_mds_runs_are_deterministic() {
+        let run = || {
             let cfg = ClusterConfig {
                 n_servers: 4,
-                shards,
-                threads,
                 mds_replicas: 3,
                 ..Default::default()
             };
@@ -3113,19 +2787,7 @@ mod tests {
             let mut w = seq(IoDir::Read, 4, 65 * 1024, 8);
             format!("{:?}", c.run(&mut w))
         };
-        let reference = run(1, 1);
-        assert_eq!(
-            run(1, 1),
-            reference,
-            "replicated runs must be deterministic"
-        );
-        for &(shards, threads) in &[(2usize, 2usize), (4, 4), (4, 1)] {
-            assert_eq!(
-                run(shards, threads),
-                reference,
-                "shards={shards} threads={threads} diverged with a replicated MDS"
-            );
-        }
+        assert_eq!(run(), run(), "replicated runs must be deterministic");
     }
 
     #[test]

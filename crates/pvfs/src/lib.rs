@@ -54,8 +54,8 @@ pub mod server;
 pub mod workload;
 
 pub use cluster::{
-    total_events_dispatched, total_fault_counters, total_maint_counters, total_window_counters,
-    Cluster, ClusterConfig, FaultTotals, RunStats, ServerRunStats,
+    total_events_dispatched, total_fault_counters, total_maint_counters, Cluster, ClusterConfig,
+    FaultTotals, RunStats, ServerRunStats,
 };
 pub use layout::Layout;
 pub use policy::{

@@ -189,6 +189,33 @@ impl MaintStats {
     pub fn is_zero(&self) -> bool {
         *self == MaintStats::default()
     }
+
+    /// Field-wise `self - earlier`: the activity between two snapshots
+    /// of the monotone process-wide totals.
+    pub fn since(&self, earlier: &MaintStats) -> MaintStats {
+        MaintStats {
+            ticks: self.ticks - earlier.ticks,
+            busy_skips: self.busy_skips - earlier.busy_skips,
+            records_appended: self.records_appended - earlier.records_appended,
+            tombstones: self.tombstones - earlier.tombstones,
+            supersedes: self.supersedes - earlier.supersedes,
+            backup_bytes: self.backup_bytes - earlier.backup_bytes,
+            segments_sealed: self.segments_sealed - earlier.segments_sealed,
+            segments_compacted: self.segments_compacted - earlier.segments_compacted,
+            segments_reclaimed: self.segments_reclaimed - earlier.segments_reclaimed,
+            records_rewritten: self.records_rewritten - earlier.records_rewritten,
+            rewrite_bytes: self.rewrite_bytes - earlier.rewrite_bytes,
+            checkpoints: self.checkpoints - earlier.checkpoints,
+            checkpoint_records: self.checkpoint_records - earlier.checkpoint_records,
+            checkpoint_bytes: self.checkpoint_bytes - earlier.checkpoint_bytes,
+            scrub_segments: self.scrub_segments - earlier.scrub_segments,
+            scrub_records: self.scrub_records - earlier.scrub_records,
+            scrub_repairs: self.scrub_repairs - earlier.scrub_repairs,
+            live_segments: self.live_segments - earlier.live_segments,
+            live_records: self.live_records - earlier.live_records,
+            live_backup_bytes: self.live_backup_bytes - earlier.live_backup_bytes,
+        }
+    }
 }
 
 /// Outcome of recovering the on-SSD mapping-table backup after a server

@@ -11,8 +11,8 @@
 # than PCT percent (default 10), or its allocs/event grows by more than
 # the alloc threshold (defaults to the rate threshold). With
 # --peak-threshold it also fails when an experiment's jobs-1 peak_bytes
-# (the peak live heap, counted per thread; it repeats to within a few
-# hundred bytes from run to run) grows by more than that percentage.
+# (its peak live heap above what was live when it started, counted per
+# thread; it repeats from run to run) grows by more than that percentage.
 # Experiments that
 # dispatch no events (pure table renders, rate = null) are listed but
 # never gate, as are null alloc/rate fields on either side. Wall-clock
@@ -128,11 +128,6 @@ def peak(e):
     # Zero without the counting allocator: no data, never gated.
     return e.get("peak_bytes") or None
 
-def thr_rate(e):
-    # Intra-run threaded rate (PR 7+); null when the report ran at
-    # --threads 1 or predates the field.
-    return e.get("events_per_sec_threaded")
-
 def fmt(x, unit=""):
     if x is None:
         return "-"
@@ -156,17 +151,11 @@ if peak_threshold is not None and all(peak(new[n]) is None for n in names):
         f"(build the new report with --features count-allocs)")
 
 w = max((len(n) for n in names), default=4)
-# The threaded column only renders when at least one side carries a
-# non-null threaded rate; it is informational (never gated — the jobs-1
-# serial rate is the apples-to-apples figure).
-have_thr = any(thr_rate(e) is not None for e in list(old.values()) + list(new.values()))
 peak_gate = f", peak +{peak_threshold:g}%" if peak_threshold is not None else ""
 print(f"{old_path} -> {new_path}  "
       f"(gate: rate ±{threshold:g}%, allocs +{alloc_threshold:g}%{peak_gate})")
 hdr = (f"{'name':{w}}  {'ev/s old':>12} {'ev/s new':>12} {'Δ':>8}   "
        f"{'alloc/ev old':>12} {'alloc/ev new':>12} {'Δ':>8}")
-if have_thr:
-    hdr += f"   {'ev/s thr old':>12} {'ev/s thr new':>12}"
 if peak_threshold is not None:
     hdr += f"   {'peak MB old':>11} {'peak MB new':>11} {'Δ':>8}"
 print(hdr)
@@ -186,8 +175,6 @@ for n in names:
             f"{('%+.1f%%' % dr) if dr is not None else '-':>8}   "
             f"{fmt(a0):>12} {fmt(a1):>12} "
             f"{('%+.1f%%' % da) if da is not None else '-':>8}")
-    if have_thr:
-        line += f"   {fmt(thr_rate(old[n])):>12} {fmt(thr_rate(new[n])):>12}"
     if peak_threshold is not None:
         p0, p1 = peak(old[n]), peak(new[n])
         dp = delta(p0, p1)
@@ -206,12 +193,6 @@ dt = delta(t0, t1)
 if dt is not None:
     print(f"\nsuite: {fmt(t0)} -> {fmt(t1)} ev/s ({dt:+.1f}%), "
           f"events {old_rep.get('events_dispatched')} -> {new_rep.get('events_dispatched')}")
-for tag, rep in (("old", old_rep), ("new", new_rep)):
-    sp, bpw = rep.get("threaded_speedup"), rep.get("barriers_per_window")
-    if sp is not None or bpw is not None:
-        print(f"threading ({tag}): threads={rep.get('threads')}, "
-              f"speedup {fmt(sp) if sp is not None else '-'}x, "
-              f"barriers/window {fmt(bpw) if bpw is not None else '-'}")
 
 if failures:
     print(f"\n{len(failures)} regression(s) beyond the gate:", file=sys.stderr)

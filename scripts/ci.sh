@@ -23,16 +23,6 @@ echo "== expt --jobs parallel output identity"
 ./target/release/expt --jobs 4 all >/tmp/ibridge_ci_j4.txt 2>/dev/null
 cmp /tmp/ibridge_ci_j1.txt /tmp/ibridge_ci_j4.txt
 
-echo "== shard identity (fig3 --shards 1 vs --shards 4)"
-./target/release/expt --shards 1 fig3 >/tmp/ibridge_ci_s1.txt 2>/dev/null
-./target/release/expt --shards 4 --jobs 4 fig3 >/tmp/ibridge_ci_s4.txt 2>/dev/null
-cmp /tmp/ibridge_ci_s1.txt /tmp/ibridge_ci_s4.txt
-
-echo "== threaded shard identity (fig3 --shards 4 --threads 1 vs --threads 4)"
-./target/release/expt --shards 4 --threads 4 fig3 >/tmp/ibridge_ci_s4t4.txt 2>/dev/null
-cmp /tmp/ibridge_ci_s4.txt /tmp/ibridge_ci_s4t4.txt
-cmp /tmp/ibridge_ci_s1.txt /tmp/ibridge_ci_s4t4.txt
-
 echo "== goldens (calbench, fault/recovery/perf smokes, obs metrics)"
 ./scripts/check-goldens.sh
 
@@ -45,11 +35,6 @@ echo "== fault-matrix jobs identity (fixed seed; auditor armed)"
   >/tmp/ibridge_ci_faults_j8.txt 2>/dev/null
 cmp goldens/faults_smoke.txt /tmp/ibridge_ci_faults_j8.txt
 
-echo "== fault-matrix threaded identity (--shards 4 --threads 4 vs golden)"
-./target/release/expt --seed 7 --shards 4 --threads 4 --audit --fault-plan chaos faults \
-  >/tmp/ibridge_ci_faults_thr.txt 2>/dev/null
-cmp goldens/faults_smoke.txt /tmp/ibridge_ci_faults_thr.txt
-
 echo "== corruption-matrix jobs identity (torn-write/bit-rot recovery)"
 ./target/release/expt --seed 7 --jobs 8 --audit recovery \
   >/tmp/ibridge_ci_recovery_j8.txt 2>/dev/null
@@ -57,37 +42,18 @@ cmp goldens/recovery_smoke.txt /tmp/ibridge_ci_recovery_j8.txt
 
 # Recovery matrix: the segmented-log maintenance experiment (compaction,
 # indexed checkpoints, idle-window scheduling, O(dirty) restart) and the
-# corruption matrix must reproduce their goldens under both parallel
-# jobs and the threaded sharded driver — maintenance runs inside the
-# simulation, so a single reordered tick would show up as byte drift.
+# corruption matrix must reproduce their goldens under parallel jobs —
+# maintenance runs inside the simulation, so a single reordered tick
+# would show up as byte drift.
 echo "== recovery-matrix: logmaint jobs identity (segmented log, O(dirty) restart)"
 ./target/release/expt --seed 7 --jobs 8 --audit logmaint \
   >/tmp/ibridge_ci_logmaint_j8.txt 2>/dev/null
 cmp goldens/logmaint_smoke.txt /tmp/ibridge_ci_logmaint_j8.txt
 
-echo "== recovery-matrix: logmaint threaded identity (--shards 4 --threads 4)"
-./target/release/expt --seed 7 --shards 4 --threads 4 --audit logmaint \
-  >/tmp/ibridge_ci_logmaint_thr.txt 2>/dev/null
-cmp goldens/logmaint_smoke.txt /tmp/ibridge_ci_logmaint_thr.txt
-
-echo "== recovery-matrix: corruption threaded identity (--shards 4 --threads 4)"
-./target/release/expt --seed 7 --shards 4 --threads 4 --audit recovery \
-  >/tmp/ibridge_ci_recovery_thr.txt 2>/dev/null
-cmp goldens/recovery_smoke.txt /tmp/ibridge_ci_recovery_thr.txt
-
 echo "== mds-ha jobs identity (replicated metadata failover)"
 ./target/release/expt --seed 7 --jobs 8 --audit mds-ha \
   >/tmp/ibridge_ci_mds_j8.txt 2>/dev/null
 cmp goldens/mds_smoke.txt /tmp/ibridge_ci_mds_j8.txt
-
-echo "== mds-ha threaded identity (--shards 4 --threads 4 vs golden)"
-./target/release/expt --seed 7 --shards 4 --threads 4 --audit mds-ha \
-  >/tmp/ibridge_ci_mds_thr.txt 2>/dev/null
-cmp goldens/mds_smoke.txt /tmp/ibridge_ci_mds_thr.txt
-
-echo "== perf-smoke shard identity (summary --shards 8 vs golden)"
-./target/release/expt --shards 8 summary >/tmp/ibridge_ci_perf_s8.txt 2>/dev/null
-cmp goldens/perf_smoke.txt /tmp/ibridge_ci_perf_s8.txt
 
 echo "== trace-export determinism (fork-path merge, any --jobs)"
 ./target/release/expt --seed 7 --jobs 1 --trace-out /tmp/ibridge_ci_trace_j1.json fig3 \
@@ -106,21 +72,21 @@ cargo build --release -p ibridge-bench --features count-allocs
 ./target/release/expt --bench-report /tmp/ibridge_ci_bench_obs_on.json summary \
   >/dev/null 2>&1
 
-echo "== bench-diff vs BENCH_pr13.json (rates annotate, allocs/event and peak bytes gate)"
+echo "== bench-diff vs BENCH_pr14.json (rates annotate, allocs/event and peak bytes gate)"
 # Fresh full-suite self-benchmark under the counting allocator, same
 # parameters as the committed baseline.
-./target/release/expt --seed 42 --jobs 8 --shards 4 --threads 4 \
+./target/release/expt --seed 42 --jobs 8 \
   --bench-report /tmp/ibridge_ci_bench_fresh.json all >/dev/null 2>&1
 # Wall-clock rates are host-noisy (same-binary reruns drift by tens of
 # percent on shared runners): print the comparison for review, never
 # fail on it.
-./scripts/bench-diff.sh BENCH_pr13.json /tmp/ibridge_ci_bench_fresh.json \
+./scripts/bench-diff.sh BENCH_pr14.json /tmp/ibridge_ci_bench_fresh.json \
   || echo "bench-diff: rate drift is informational only (host noise)"
 # allocs/event and the jobs-1 peak live heap are deterministic, so they
 # gate hard: +10% per experiment. --threshold 101 disables the rate
 # gate (a rate regression is bounded at -100%), leaving allocs/event
 # and peak bytes as the only failure conditions.
-./scripts/bench-diff.sh BENCH_pr13.json /tmp/ibridge_ci_bench_fresh.json \
+./scripts/bench-diff.sh BENCH_pr14.json /tmp/ibridge_ci_bench_fresh.json \
   --threshold 101 --alloc-threshold 10 --peak-threshold 10 >/dev/null
 
 cargo build --release -p ibridge-bench --no-default-features --features count-allocs
