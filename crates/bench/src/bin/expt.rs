@@ -194,7 +194,7 @@ fn main() {
     if let Some(reg) = &metrics_snap {
         let rendered = ibridge_bench::obs_report::render(reg);
         if rendered.is_empty() {
-            println!("(metrics: nothing recorded — obs feature compiled out)\n");
+            println!("(metrics: nothing recorded — no cluster simulation ran)\n");
         } else {
             print!("{rendered}");
         }

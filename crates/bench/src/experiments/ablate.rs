@@ -11,9 +11,8 @@ const KB: u64 = 1024;
 
 fn stock_with(scale: &Scale, server: ServerConfig) -> Cluster {
     let cfg = ClusterConfig {
-        seed: scale.seed,
         server,
-        ..Default::default()
+        ..scale.cluster_config()
     };
     Cluster::new(cfg, |_| Box::new(StockPolicy::new()))
 }
@@ -126,9 +125,8 @@ fn network(scale: &Scale) -> String {
         let mut pair = Vec::new();
         for ibridge_on in [false, true] {
             let cfg = ClusterConfig {
-                seed: scale.seed,
                 link: link.clone(),
-                ..Default::default()
+                ..scale.cluster_config()
             };
             let mut cluster = if ibridge_on {
                 ibridge_core::ibridge_cluster(cfg, scale.ssd_capacity)
@@ -227,13 +225,12 @@ fn eq3_degraded(scale: &Scale) -> String {
     );
     for (label, eq3_on) in [("with Eq.3", true), ("without Eq.3", false)] {
         let cfg = ClusterConfig {
-            seed: scale.seed,
             flag_fragments: true,
             server: ServerConfig {
                 with_cache_dev: true,
                 ..Default::default()
             },
-            ..Default::default()
+            ..scale.cluster_config()
         };
         let base_server = cfg.server.clone();
         let mut cluster = ibridge_pvfs::Cluster::heterogeneous(
@@ -377,7 +374,6 @@ fn anticipation(scale: &Scale) -> String {
     );
     for (label, idle_ms) in [("anticipation 8ms", 8u64), ("no anticipation", 0)] {
         let cfg = ClusterConfig {
-            seed: scale.seed,
             server: ServerConfig {
                 cfq: CfqConfig {
                     slice_idle: ibridge_des::SimDuration::from_millis(idle_ms),
@@ -385,7 +381,7 @@ fn anticipation(scale: &Scale) -> String {
                 },
                 ..Default::default()
             },
-            ..Default::default()
+            ..scale.cluster_config()
         };
         let mut cluster = Cluster::new(cfg, |_| Box::new(StockPolicy::new()));
         let mut w = MpiIoTest::sized(IoDir::Read, FILE_A, 64, 64 * KB, scale.stream_bytes);
@@ -399,4 +395,26 @@ fn anticipation(scale: &Scale) -> String {
          performance depends on it.\n\n",
         t.block()
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ibridge_des::SimDuration;
+
+    #[test]
+    fn hand_built_clusters_forward_audit_and_mds_replicas() {
+        let every = Some(SimDuration::from_millis(5));
+        let scale = Scale {
+            audit_interval: every,
+            mds_replicas: 3,
+            seed: 9,
+            ..Scale::quick()
+        };
+        let cluster = stock_with(&scale, ServerConfig::default());
+        let cfg = cluster.config();
+        assert_eq!(cfg.audit_interval, every);
+        assert_eq!(cfg.mds_replicas, 3);
+        assert_eq!(cfg.seed, 9);
+    }
 }

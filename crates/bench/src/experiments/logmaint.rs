@@ -52,8 +52,6 @@ const OPS: &[u64] = &[500, 2000, 8000];
 fn probe(scale: &Scale, plan: &FaultPlan) -> (RunStats, MaintStats) {
     let cfg = ClusterConfig {
         n_servers: 4,
-        seed: scale.seed,
-        audit_interval: scale.audit_interval,
         report_interval: SimDuration::from_millis(20),
         flag_fragments: true,
         server: ServerConfig {
@@ -61,7 +59,7 @@ fn probe(scale: &Scale, plan: &FaultPlan) -> (RunStats, MaintStats) {
             with_cache_dev: true,
             ..Default::default()
         },
-        ..Default::default()
+        ..scale.cluster_config()
     };
     let ssd_capacity = scale.ssd_capacity;
     let disk = cfg.server.disk.clone();

@@ -35,15 +35,13 @@ const REPLICAS: &[usize] = &[1, 3];
 fn probe(scale: &Scale, replicas: usize, plan: &FaultPlan) -> RunStats {
     let cfg = ClusterConfig {
         n_servers: 4,
-        seed: scale.seed,
-        audit_interval: scale.audit_interval,
         mds_replicas: replicas,
         report_interval: SimDuration::from_millis(5),
         server: ServerConfig {
             ra_budget: scale.page_cache,
             ..Default::default()
         },
-        ..Default::default()
+        ..scale.cluster_config()
     };
     let mut cluster = ibridge_cluster(cfg, scale.ssd_capacity);
     let mut w = CheckpointWorkload::new(

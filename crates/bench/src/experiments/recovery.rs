@@ -48,14 +48,12 @@ const SEGMENT_RECORDS: usize = 256;
 fn probe(scale: &Scale, plan: &FaultPlan) -> RunStats {
     let cfg = ClusterConfig {
         n_servers: 4,
-        seed: scale.seed,
-        audit_interval: scale.audit_interval,
         report_interval: SimDuration::from_millis(20),
         server: ServerConfig {
             ra_budget: scale.page_cache,
             ..Default::default()
         },
-        ..Default::default()
+        ..scale.cluster_config()
     };
     let mut cluster = ibridge_cluster(cfg, scale.ssd_capacity);
     let mut w = CheckpointWorkload::new(

@@ -111,6 +111,17 @@ impl Scale {
             mds_replicas: 1,
         }
     }
+
+    /// The cluster knobs every experiment forwards from the CLI (seed,
+    /// auditor cadence, MDS replicas) on top of the default cluster.
+    pub fn cluster_config(&self) -> ClusterConfig {
+        ClusterConfig {
+            seed: self.seed,
+            audit_interval: self.audit_interval,
+            mds_replicas: self.mds_replicas,
+            ..Default::default()
+        }
+    }
 }
 
 /// The shared experiment file handle.
@@ -122,14 +133,11 @@ pub const FILE_B: FileHandle = FileHandle(2);
 pub fn build(system: System, n_servers: usize, scale: &Scale) -> Cluster {
     let cfg = ClusterConfig {
         n_servers,
-        seed: scale.seed,
-        audit_interval: scale.audit_interval,
-        mds_replicas: scale.mds_replicas,
         server: ServerConfig {
             ra_budget: scale.page_cache,
             ..Default::default()
         },
-        ..Default::default()
+        ..scale.cluster_config()
     };
     match system {
         System::Stock => stock_cluster(cfg),
@@ -148,9 +156,6 @@ pub fn build_ibridge_with(
 ) -> Cluster {
     let cfg = ClusterConfig {
         n_servers,
-        seed: scale.seed,
-        audit_interval: scale.audit_interval,
-        mds_replicas: scale.mds_replicas,
         threshold,
         flag_fragments: true,
         server: ServerConfig {
@@ -158,7 +163,7 @@ pub fn build_ibridge_with(
             ra_budget: scale.page_cache,
             ..Default::default()
         },
-        ..Default::default()
+        ..scale.cluster_config()
     };
     Cluster::new(cfg, move |id| Box::new(IBridgePolicy::new(make(id))))
 }

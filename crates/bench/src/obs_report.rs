@@ -46,7 +46,7 @@ fn mean(sum_ns: u64, n: u64) -> String {
 /// Renders the `--metrics` text report: per-phase latency quantiles,
 /// per-entry-class service latency, and per-server aggregates with the
 /// measured-vs-predicted `T_i` residual. Returns an empty string when
-/// nothing was recorded (e.g. the `obs` feature is compiled out).
+/// nothing was recorded (the selected experiments ran no cluster).
 pub fn render(reg: &Registry) -> String {
     if reg.is_empty() {
         return String::new();

@@ -14,8 +14,7 @@
 //!   experiments concurrently) share the same budget instead of
 //!   multiplying it, so the host is never oversubscribed.
 //!
-//! The budget resolves, in order: [`set_jobs`] (the `--jobs` flag), the
-//! `IBRIDGE_JOBS` environment variable, then
+//! The budget is [`set_jobs`] (the `--jobs` flag), else
 //! [`std::thread::available_parallelism`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -36,19 +35,12 @@ pub fn set_jobs(n: usize) {
     *TOKENS.lock().unwrap() = None;
 }
 
-/// The effective worker budget: [`set_jobs`] value, else `IBRIDGE_JOBS`,
-/// else the machine's available parallelism.
+/// The effective worker budget: [`set_jobs`] value, else the machine's
+/// available parallelism.
 pub fn jobs() -> usize {
     let set = JOBS.load(Ordering::Relaxed);
     if set > 0 {
         return set;
-    }
-    if let Ok(v) = std::env::var("IBRIDGE_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
     }
     std::thread::available_parallelism()
         .map(|n| n.get())

@@ -326,7 +326,6 @@ impl BlockDevice {
         let req = self.ncq.swap_remove(pick);
         // The positional share of the service time has to be read before
         // `service()` moves the head; only worth it when observing.
-        #[cfg(feature = "obs")]
         let seek = if ibridge_obs::active() {
             match &self.storage {
                 StorageDev::Disk(d) => Some(d.positional_cost(now, &req.op())),
@@ -337,7 +336,6 @@ impl BlockDevice {
         };
         self.tracer.record(now, req.dir, req.sectors, req.submitted);
         let dur = self.storage.service(now, &req);
-        #[cfg(feature = "obs")]
         self.observe_dispatch(now, &req, dur, seek);
         let finish = now + dur;
         self.stats.busy += dur;
@@ -352,7 +350,6 @@ impl BlockDevice {
     }
 
     /// Records queue/service/seek observability for one dispatch.
-    #[cfg(feature = "obs")]
     fn observe_dispatch(
         &self,
         now: SimTime,

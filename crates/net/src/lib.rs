@@ -163,7 +163,6 @@ impl Link {
         self.messages += 1;
         let arrival = done + self.cfg.latency;
         // Queue-for-NIC + transmit + propagation, per message.
-        #[cfg(feature = "obs")]
         ibridge_obs::metrics::record_phase(
             ibridge_obs::metrics::Phase::NetTx,
             (arrival - now).as_nanos(),

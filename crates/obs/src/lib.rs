@@ -22,12 +22,12 @@
 //!
 //! # Runtime switches
 //!
-//! Instrumentation call sites are compiled in behind each crate's `obs`
-//! cargo feature (on by default) and additionally gated at runtime on
-//! process-wide flags ([`set_tracing`] / [`set_metrics`]). With the flags
-//! off — the default — every instrumented site reduces to one relaxed
-//! atomic load and the hot path performs no extra allocation, which CI
-//! proves with the counting allocator.
+//! Instrumentation call sites are always compiled in and gated at
+//! runtime on process-wide flags ([`set_tracing`] / [`set_metrics`]).
+//! With the flags off — the default — every instrumented site reduces to
+//! one relaxed atomic load and the hot path performs no extra allocation,
+//! which `crates/bench/tests/obs_off.rs` proves with the counting
+//! allocator.
 
 pub mod dispatch;
 pub mod metrics;

@@ -212,8 +212,7 @@ pub struct ClusterConfig {
     /// with a structured diagnostic on the first violation. `None`
     /// disables auditing. The auditor is synchronous and read-only — it
     /// posts no events and draws no randomness, so an audited run is
-    /// byte-identical to an unaudited one. Requires the `audit` cargo
-    /// feature (on by default); without it the knob is ignored.
+    /// byte-identical to an unaudited one.
     pub audit_interval: Option<SimDuration>,
 }
 
@@ -369,7 +368,6 @@ enum ProcState {
 // corresponding collector is off; none touches the calendar or the RNG.
 
 /// Client → server request hop: `NetRequest` metric + `net:req` span.
-#[cfg(feature = "obs")]
 fn obs_net_req(
     now: SimTime,
     arrive: SimTime,
@@ -395,7 +393,6 @@ fn obs_net_req(
 }
 
 /// Server CPU admission queue: `SrvQueue` metric + `srv:queue` span.
-#[cfg(feature = "obs")]
 fn obs_srv_queue(now: SimTime, exec_at: SimTime, server: usize, job: JobId) {
     use ibridge_obs::{metrics, trace};
     let d = (exec_at - now).as_nanos();
@@ -414,7 +411,6 @@ fn obs_srv_queue(now: SimTime, exec_at: SimTime, server: usize, job: JobId) {
 }
 
 /// Server → client reply hop: `NetReply` metric + `net:reply` span.
-#[cfg(feature = "obs")]
 fn obs_net_reply(
     now: SimTime,
     arrive: SimTime,
@@ -441,12 +437,10 @@ fn obs_net_reply(
 
 /// Trace lane for replicated-MDS spans on the client node — far above
 /// any real process lane, so MDS activity sorts into its own swimlane.
-#[cfg(feature = "obs")]
 const MDS_TRACE_LANE: u16 = u16::MAX;
 
 /// One replicated log entry, proposal → majority commit:
 /// `mds:replicate` span (id = commit index).
-#[cfg(feature = "obs")]
 fn obs_mds_replicate(proposed_at: SimTime, committed_at: SimTime, index: u64) {
     use ibridge_obs::trace;
     if ibridge_obs::tracing_on() {
@@ -464,7 +458,6 @@ fn obs_mds_replicate(proposed_at: SimTime, committed_at: SimTime, index: u64) {
 
 /// A leadership change in the MDS group: `mds:leader` span (id = term,
 /// aux = elected replica, or `u64::MAX` for "leaderless").
-#[cfg(feature = "obs")]
 fn obs_mds_leader(now: SimTime, leader: Option<usize>, term: u64) {
     use ibridge_obs::trace;
     if ibridge_obs::tracing_on() {
@@ -482,7 +475,6 @@ fn obs_mds_leader(now: SimTime, leader: Option<usize>, term: u64) {
 
 /// Whole client request, issue → last sub-reply: `Request` metric +
 /// `request` span.
-#[cfg(feature = "obs")]
 fn obs_request_done(issued_at: SimTime, wait: SimDuration, proc: usize, parent: u64) {
     use ibridge_obs::{metrics, trace};
     let d = wait.as_nanos();
@@ -924,9 +916,7 @@ impl Cluster {
         // simulation — it posts no events and draws no randomness — so a
         // traced run is byte-identical to an untraced one. The device
         // snapshot anchors this run's measured-vs-predicted T_i deltas.
-        #[cfg(feature = "obs")]
         ibridge_obs::trace::run_begin();
-        #[cfg(feature = "obs")]
         let obs_dev0: Vec<ibridge_iosched::DevStats> = if ibridge_obs::metrics_on() {
             self.cells
                 .iter()
@@ -1018,11 +1008,8 @@ impl Cluster {
                 mds_acts: Vec::new(),
             },
             sv: ServerSide {
-                #[cfg(feature = "audit")]
                 next_audit: cfg.audit_interval.map(|iv| start + iv),
-                #[cfg(feature = "audit")]
                 audit_epochs: cells.iter().map(|c| c.srv_epoch).collect(),
-                #[cfg(feature = "audit")]
                 audits: 0,
                 jobs: HashMap::default(),
                 out: ServerOut::default(),
@@ -1048,7 +1035,6 @@ impl Cluster {
 
         // A final audit closes the run: recovered state must be sound
         // at quiescence, not just at the last cadence tick.
-        #[cfg(feature = "audit")]
         if cfg.audit_interval.is_some() {
             server_audit(&mut st.sv, end);
             TOTAL_AUDITS.fetch_add(1 + st.sv.audits, Ordering::Relaxed);
@@ -1082,9 +1068,6 @@ impl Cluster {
             fstats.mds_leader_changes += mds_run.leader_changes;
             fstats.mds_recovery_ticks += mds_run.recovery_ticks;
         }
-        #[cfg(not(feature = "obs"))]
-        let _ = mds_run;
-        #[cfg(feature = "obs")]
         if ibridge_obs::metrics_on() && (co.p.mds.is_some() || fstats.stale_t_decisions > 0) {
             ibridge_obs::metrics::record_mds(&ibridge_obs::metrics::MdsAgg {
                 runs: 1,
@@ -1110,7 +1093,6 @@ impl Cluster {
         // per-request busy delta on the primary device. Restarted servers
         // get fresh devices mid-run, which would make the delta negative
         // — those runs contribute no sample.
-        #[cfg(feature = "obs")]
         if ibridge_obs::metrics_on() {
             for (s_id, (cell, d0)) in sv.cells.iter().zip(&obs_dev0).enumerate() {
                 let pred_s = cell.server.policy().report_t();
@@ -1170,7 +1152,6 @@ impl Cluster {
                 let mut tot = TOTAL_MAINT.lock().unwrap();
                 tot.get_or_insert_with(MaintStats::default).absorb(&m);
             }
-            #[cfg(feature = "obs")]
             if ibridge_obs::metrics_on() && !m.is_zero() {
                 ibridge_obs::metrics::record_maint(&ibridge_obs::metrics::MaintAgg {
                     runs: 1,
@@ -1289,11 +1270,8 @@ struct ServerSide<'r> {
     fault_ids: Vec<Vec<EventId>>,
     cell_was_q: Vec<bool>,
     lost_jobs: Vec<JobId>,
-    #[cfg(feature = "audit")]
     next_audit: Option<SimTime>,
-    #[cfg(feature = "audit")]
     audit_epochs: Vec<u32>,
-    #[cfg(feature = "audit")]
     audits: u64,
 }
 
@@ -1426,7 +1404,6 @@ fn coord_event(
                 let server = sub.server;
                 let reply_bytes = sub.reply_bytes();
                 let sub_idx = idx as u32;
-                #[cfg(feature = "obs")]
                 obs_net_req(now, arrive, proc, parent, sub_idx, server);
                 if sh.faults {
                     let tid = sim.schedule_from(
@@ -1504,7 +1481,6 @@ fn coord_event(
                 if done {
                     let p = co.parents.remove(&parent).expect("checked above");
                     let wait = now - p.issued_at;
-                    #[cfg(feature = "obs")]
                     obs_request_done(p.issued_at, wait, proc, parent);
                     co.io_time += wait;
                     co.latency_ms.record(wait.as_millis_f64());
@@ -1566,7 +1542,6 @@ fn coord_event(
                 let arrive = co.client_links[rproc].send(now, sub.request_bytes());
                 let server = sub.server;
                 let reply_bytes = sub.reply_bytes();
-                #[cfg(feature = "obs")]
                 obs_net_req(now, arrive, rproc, parent, sub_idx, server);
                 post_sub_arrival(
                     sh,
@@ -1764,10 +1739,7 @@ fn mds_apply(
                 proposed_at,
                 entry,
             } => {
-                #[cfg(feature = "obs")]
                 obs_mds_replicate(proposed_at, now, index);
-                #[cfg(not(feature = "obs"))]
-                let _ = proposed_at;
                 match entry {
                     MdsEntry::TReport { server, t } => {
                         co.p.mds_table[server] = t;
@@ -1781,10 +1753,7 @@ fn mds_apply(
                 }
             }
             MdsAction::LeaderChanged { leader, term } => {
-                #[cfg(feature = "obs")]
                 obs_mds_leader(now, leader, term);
-                #[cfg(not(feature = "obs"))]
-                let _ = (leader, term);
             }
         }
     }
@@ -1826,7 +1795,6 @@ fn server_event(sh: &Shared, sim: &mut Simulation<Ev>, sv: &mut ServerSide, now:
                 sv.jobs.remove(&job);
             } else {
                 let exec_at = sv.cells[server].server.cpu_admit(now);
-                #[cfg(feature = "obs")]
                 obs_srv_queue(now, exec_at, server, job);
                 let epoch = sv.cells[server].srv_epoch;
                 let node = srv_node(server);
@@ -1969,7 +1937,6 @@ fn server_tail(sh: &Shared, sim: &mut Simulation<Ev>, sv: &mut ServerSide, now: 
     // dispatch (never posts events, never draws randomness), so the
     // calendar — and therefore every observable output — is
     // byte-identical with auditing on or off.
-    #[cfg(feature = "audit")]
     if let Some(due) = sv.next_audit {
         if now >= due {
             server_audit(sv, now);
@@ -1978,8 +1945,6 @@ fn server_tail(sh: &Shared, sim: &mut Simulation<Ev>, sv: &mut ServerSide, now: 
             sv.next_audit = Some(now + iv);
         }
     }
-    #[cfg(not(feature = "audit"))]
-    let _ = sh;
     if sv.draining {
         let mut all_q = true;
         for ci in 0..sv.cells.len() {
@@ -2110,7 +2075,6 @@ fn server_out(
         let pj = sv.jobs.remove(&job).expect("done job unknown to cluster");
         let arrive = sv.cells[server].link.send(now, pj.reply_bytes);
         let (proc, parent, sub_idx) = (pj.proc, pj.parent, pj.sub_idx);
-        #[cfg(feature = "obs")]
         obs_net_reply(now, arrive, server, parent, sub_idx, pj.reply_bytes);
         match net_decision(&mut sv.cells[server].decider, now - sh.start) {
             NetDecision::Deliver => {
@@ -2338,7 +2302,6 @@ fn maybe_release_barrier(
 /// `CachePolicy::audit`) and the monotonicity of process epochs since
 /// the previous pass. Aborts the simulation with a structured
 /// diagnostic on the first violation; a passing audit leaves no trace.
-#[cfg(feature = "audit")]
 fn server_audit(sv: &mut ServerSide, now: SimTime) {
     for (i, cell) in sv.cells.iter().enumerate() {
         if cell.down {

@@ -177,7 +177,6 @@ struct JobState {
     served_at_disk: bool,
     /// When the sub-request entered device submission (for the
     /// observability job span/latency).
-    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     started: SimTime,
 }
 
@@ -679,7 +678,6 @@ impl DataServer {
     /// Records the completed job for observability: per-class and
     /// per-server latency metrics plus a `srv:job:*` span on the serving
     /// device's lane. Read-only; one atomic load when collection is off.
-    #[cfg(feature = "obs")]
     fn observe_job_done(&self, now: SimTime, st: &JobState, job: JobId) {
         use crate::proto::ReqClass;
         use ibridge_obs::metrics::{self, Phase, SubClass};
@@ -738,7 +736,6 @@ impl DataServer {
                         );
                     }
                 }
-                #[cfg(feature = "obs")]
                 self.observe_job_done(now, &st, job);
                 out.done_jobs.push(job);
             }

@@ -12,7 +12,7 @@ cd "$(dirname "$0")/.."
 OUT="${OUT:-goldens}"
 mkdir -p "$OUT"
 
-cargo build --release -q
+cargo build --release --workspace -q
 
 ./target/release/calbench > "$OUT/calbench.txt"
 ./target/release/expt --seed 7 --audit --fault-plan chaos faults \
