@@ -238,6 +238,12 @@ pub mod test_runner {
             .unwrap_or(DEFAULT_CASES)
     }
 
+    /// Runs one case body. The body is a closure so `?` and `return`
+    /// inside it end the case, not the test.
+    pub fn run_case(body: impl FnOnce() -> TestCaseResult) -> TestCaseResult {
+        body()
+    }
+
     /// The shim's test RNG: SplitMix64, seeded from the test's name so
     /// every run of a given test replays the same cases.
     #[derive(Debug, Clone)]
@@ -307,8 +313,8 @@ macro_rules! proptest {
                         $crate::strategy::Strategy::sample(&($strat), &mut __proptest_rng);)+
                     // Allow `?` on TestCaseResult inside the body, as
                     // upstream proptest does.
-                    let __proptest_outcome: $crate::test_runner::TestCaseResult =
-                        (|| { $body Ok(()) })();
+                    let __proptest_outcome =
+                        $crate::test_runner::run_case(|| { $body Ok(()) });
                     if let Err(e) = __proptest_outcome {
                         panic!("{e} (case {__proptest_case} of {})", stringify!($name));
                     }

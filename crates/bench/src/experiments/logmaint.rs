@@ -32,7 +32,7 @@ use ibridge_faults::{builtin, FaultPlan};
 use ibridge_localfs::FileHandle;
 use ibridge_pvfs::{
     CachePolicy, Cluster, ClusterConfig, MaintStats, Placement, ReqClass, RunStats, ServerConfig,
-    SubRequest,
+    SiblingList, SubRequest,
 };
 use ibridge_workloads::CheckpointWorkload;
 
@@ -98,7 +98,9 @@ fn write_frag(p: &mut IBridgePolicy, offset: u64) {
         server: 0,
         offset,
         len: 1024,
-        class: ReqClass::Fragment { siblings: vec![1] },
+        class: ReqClass::Fragment {
+            siblings: SiblingList::one(1),
+        },
     };
     let pl = p.place(SimTime::ZERO, &sub, 900_000_000);
     assert!(

@@ -1292,6 +1292,7 @@ mod tests {
     use super::*;
     use ibridge_device::IoDir;
     use ibridge_localfs::FileHandle;
+    use ibridge_pvfs::SiblingList;
 
     const KB: u64 = 1024;
 
@@ -1306,7 +1307,9 @@ mod tests {
             server: 0,
             offset,
             len,
-            class: ReqClass::Fragment { siblings: vec![1] },
+            class: ReqClass::Fragment {
+                siblings: SiblingList::one(1),
+            },
         }
     }
 

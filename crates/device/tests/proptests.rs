@@ -42,7 +42,7 @@ proptest! {
                 + p.transfer_time(sectors + p.write_gap);
             prop_assert!(dur <= bound, "dur {dur} exceeds bound {bound}");
             prop_assert_eq!(disk.head(), lbn + sectors);
-            t = t + dur;
+            t += dur;
         }
     }
 

@@ -18,11 +18,41 @@
 //! * **Merging** — front/back merging against *any* queued request
 //!   (capped at `max_merge_sectors`), producing the 128 KB dispatches of
 //!   Fig. 2(c) when two processes' stripes interleave.
+//!
+//! # Storage
+//!
+//! Streams come and go constantly: a stream whose queue runs dry departs
+//! (forgetting its seek history), and its process's next sub-request
+//! brings it back as a new stream. The queues are laid out so that this
+//! churn, and every steady-state `add`/merge/`dispatch`, allocates
+//! nothing once the scheduler has seen its peak load:
+//!
+//! * **Request slab** — queued [`BlockRequest`] bodies live in one
+//!   scheduler-owned `Vec`; dispatching a request frees its slot onto a
+//!   free list, and the next queued request reuses it.
+//! * **Per-stream index** — each stream keeps a `Vec` of 24-byte
+//!   `(lbn, seq, slot)` entries sorted by `(lbn, seq)`. The key is the
+//!   request's LBN *when it was queued* plus a global arrival number; a
+//!   front merge moves the request's start but never its key, so the
+//!   elevator order and later merge lookups see exactly what a map keyed
+//!   at insertion time would. Lookups are binary searches, and with the
+//!   bodies in the slab an insert or removal moves only small entries.
+//! * **Spare pool** — a departing stream's emptied index goes to a pool;
+//!   the next new stream takes it from there, so index capacity is never
+//!   freed and reallocated.
+//! * **Bursts give memory back** — capacity beyond 256 requests is not
+//!   kept: a drained slab shrinks to that size, and a departing index
+//!   larger than that is freed instead of pooled, so a write burst
+//!   of thousands of requests does not stay resident.
+//! * **Stream table** — the streams sit in a `Vec` sorted by id, so the
+//!   merge scan visits them in ascending [`StreamId`] order (never in a
+//!   hash-seed-dependent one), and each carries a flag saying whether it
+//!   waits in the round-robin list.
 
 use crate::{BlockRequest, Decision, Scheduler, StreamId};
 use ibridge_des::{SimDuration, SimTime};
 use ibridge_device::Lbn;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Tuning knobs of [`Cfq`], defaults matching Linux CFQ's.
 #[derive(Debug, Clone)]
@@ -56,32 +86,41 @@ impl Default for CfqConfig {
     }
 }
 
-type QKey = (Lbn, u64);
+/// Most requests a drained slab keeps room for, and the largest index
+/// capacity the spare pool takes. Steady-state queues fit (sync streams
+/// stay under 16 requests, BTIO's async write stream peaks at 64–255); a
+/// write burst of thousands gives its memory back once it drains,
+/// instead of staying resident for the rest of the run.
+const RETAIN: usize = 256;
 
-#[derive(Debug, Default)]
+/// One queued request in a stream's index: its insertion-time sort key
+/// `(lbn, seq)` and the slab slot holding its body.
+#[derive(Debug, Clone, Copy)]
+struct IndexEntry {
+    lbn: Lbn,
+    seq: u64,
+    slot: u32,
+}
+
+#[derive(Debug)]
 struct StreamQ {
-    queue: BTreeMap<QKey, BlockRequest>,
+    id: StreamId,
+    /// Queued requests, sorted by `(lbn, seq)`.
+    index: Vec<IndexEntry>,
     /// End LBN of the last request added to this stream.
     last_end: Option<Lbn>,
     /// Decayed mean of inter-request seek distance, in sectors.
     seek_mean: f64,
-}
-
-impl StreamQ {
-    /// Next request at/after `head`, else the lowest-LBN request
-    /// (one-way elevator with wrap).
-    fn pop_elevator(&mut self, head: Lbn) -> Option<BlockRequest> {
-        let key = self
-            .queue
-            .range((head, 0)..)
-            .map(|(&k, _)| k)
-            .next()
-            .or_else(|| self.queue.keys().next().copied())?;
-        self.queue.remove(&key)
-    }
+    /// Waiting in [`Cfq::rr`] for a slice.
+    in_rr: bool,
 }
 
 /// CFQ scheduler state.
+///
+/// Queued requests live in a slab with a free list, indexed per stream
+/// by sorted `(lbn, seq, slot)` vectors that departing streams hand to a
+/// spare pool; see the [module docs](self#storage). Steady-state
+/// operation allocates nothing.
 ///
 /// ```
 /// use ibridge_iosched::{BlockRequest, Cfq, CfqConfig, Decision, Scheduler};
@@ -99,11 +138,13 @@ impl StreamQ {
 #[derive(Debug)]
 pub struct Cfq {
     cfg: CfqConfig,
-    /// Per-stream queues, keyed by stream id. Ordered so the merge scan
-    /// in [`Cfq::try_merge`] visits streams in a fixed order — iteration
-    /// order must not depend on hash seeds or results become
-    /// run-to-run nondeterministic.
-    streams: BTreeMap<StreamId, StreamQ>,
+    /// Streams with queued requests (plus the active one), sorted by id.
+    streams: Vec<StreamQ>,
+    /// Queued request bodies; `None` slots are listed in `free`.
+    slab: Vec<Option<BlockRequest>>,
+    free: Vec<u32>,
+    /// Emptied indexes of departed streams, reused by new streams.
+    spare: Vec<Vec<IndexEntry>>,
     /// Streams with queued requests, awaiting a slice (excludes `active`).
     rr: VecDeque<StreamId>,
     active: Option<StreamId>,
@@ -119,7 +160,10 @@ impl Cfq {
     pub fn new(cfg: CfqConfig) -> Self {
         Cfq {
             cfg,
-            streams: BTreeMap::new(),
+            streams: Vec::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            spare: Vec::new(),
             rr: VecDeque::new(),
             active: None,
             slice_end: SimTime::ZERO,
@@ -140,46 +184,73 @@ impl Cfq {
         &self.cfg
     }
 
+    /// Position of stream `id` in `streams`, or where it would go.
+    fn find(&self, id: StreamId) -> Result<usize, usize> {
+        self.streams.binary_search_by_key(&id, |q| q.id)
+    }
+
+    /// Removes the stream at `pos`, keeping its index for reuse unless a
+    /// burst grew it past [`RETAIN`]. A returning stream starts afresh,
+    /// with no seek history.
+    fn depart(&mut self, pos: usize) {
+        let mut index = self.streams.remove(pos).index;
+        if index.capacity() <= RETAIN {
+            index.clear();
+            self.spare.push(index);
+        }
+    }
+
     /// Attempts to merge `req` into any queued request; returns it back
     /// if no merge is possible.
     fn try_merge(&mut self, req: BlockRequest) -> Option<BlockRequest> {
         let max = self.cfg.max_merge_sectors;
-        for q in self.streams.values_mut() {
+        let end = req.end();
+        for q in &self.streams {
             // Back merge: a queued request ending exactly at req.lbn.
-            // Candidates must start at req.lbn - queued.sectors; scan the
-            // range below req.lbn and check the nearest.
-            if let Some((&key, _)) = q.queue.range(..(req.lbn, 0)).next_back() {
-                let queued = q.queue.get_mut(&key).expect("key just seen");
+            // Check the one with the largest key below (req.lbn, 0).
+            let below = q.index.partition_point(|e| e.lbn < req.lbn);
+            if let Some(e) = below.checked_sub(1).map(|i| q.index[i]) {
+                let queued = self.slab[e.slot as usize].as_mut().expect("indexed slot");
                 if queued.can_back_merge(&req, max) {
                     queued.back_merge(req);
                     return None;
                 }
             }
-            // Front merge: a queued request starting exactly at req.end().
-            if let Some((&key, _)) = q.queue.range((req.end(), 0)..).next() {
-                if key.0 == req.end() {
-                    let queued = q.queue.get_mut(&key).expect("key just seen");
-                    if queued.can_front_merge(&req, max) {
-                        queued.front_merge(req);
-                        return None;
-                    }
+            // Front merge: a queued request keyed exactly at req.end().
+            let at = q.index.partition_point(|e| e.lbn < end);
+            if let Some(&e) = q.index.get(at).filter(|e| e.lbn == end) {
+                let queued = self.slab[e.slot as usize].as_mut().expect("indexed slot");
+                if queued.can_front_merge(&req, max) {
+                    queued.front_merge(req);
+                    return None;
                 }
             }
         }
         Some(req)
     }
 
+    /// Removes from the stream at `pos` the next request at/after `head`,
+    /// else its lowest-keyed one (one-way elevator with wrap).
+    fn pop_elevator(&mut self, pos: usize, head: Lbn) -> BlockRequest {
+        let index = &mut self.streams[pos].index;
+        let at = index.partition_point(|e| e.lbn < head);
+        let e = index.remove(if at == index.len() { 0 } else { at });
+        self.free.push(e.slot);
+        self.slab[e.slot as usize].take().expect("indexed slot")
+    }
+
     fn activate_next(&mut self, now: SimTime) -> bool {
         while let Some(s) = self.rr.pop_front() {
-            let non_empty = self.streams.get(&s).is_some_and(|q| !q.queue.is_empty());
-            if non_empty {
+            let Ok(pos) = self.find(s) else { continue };
+            self.streams[pos].in_rr = false;
+            if !self.streams[pos].index.is_empty() {
                 self.active = Some(s);
                 self.slice_end = now + self.cfg.slice;
                 self.idle_until = None;
                 return true;
             }
             // Stale entry for a stream that no longer has requests.
-            self.streams.remove(&s);
+            self.depart(pos);
         }
         false
     }
@@ -199,21 +270,42 @@ impl Scheduler for Cfq {
         };
         self.total += 1;
         self.seq += 1;
-        let key = (req.lbn, self.seq);
-        let is_new = !self.streams.contains_key(&stream);
-        let end = req.end();
-        let lbn = req.lbn;
-        let q = self.streams.entry(stream).or_default();
+        let (lbn, seq, end) = (req.lbn, self.seq, req.end());
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(req);
+                slot
+            }
+            None => {
+                self.slab.push(Some(req));
+                u32::try_from(self.slab.len() - 1).expect("queued requests fit a u32")
+            }
+        };
+        let pos = self.find(stream).unwrap_or_else(|pos| {
+            let index = self.spare.pop().unwrap_or_default();
+            let q = StreamQ {
+                id: stream,
+                index,
+                last_end: None,
+                seek_mean: 0.0,
+                in_rr: false,
+            };
+            self.streams.insert(pos, q);
+            pos
+        });
+        let q = &mut self.streams[pos];
         if let Some(last) = q.last_end {
             let dist = last.abs_diff(lbn) as f64;
             q.seek_mean = q.seek_mean * 0.875 + dist * 0.125;
         }
         q.last_end = Some(end);
-        q.queue.insert(key, req);
+        let at = q.index.partition_point(|e| (e.lbn, e.seq) < (lbn, seq));
+        q.index.insert(at, IndexEntry { lbn, seq, slot });
         if self.active == Some(stream) {
             // The anticipated arrival came: stop idling.
             self.idle_until = None;
-        } else if is_new || !self.rr.contains(&stream) {
+        } else if !q.in_rr {
+            q.in_rr = true;
             self.rr.push_back(stream);
         }
     }
@@ -226,18 +318,26 @@ impl Scheduler for Cfq {
                 }
                 continue;
             };
-            let queue_empty = self.streams.get(&a).is_none_or(|q| q.queue.is_empty());
-            if !queue_empty {
+            let pos = self.find(a).ok();
+            if let Some(p) = pos.filter(|&p| !self.streams[p].index.is_empty()) {
                 if now >= self.slice_end && !self.rr.is_empty() {
                     // Slice expired with other streams waiting: rotate.
+                    self.streams[p].in_rr = true;
                     self.rr.push_back(a);
                     self.active = None;
                     self.idle_until = None;
                     continue;
                 }
-                let q = self.streams.get_mut(&a).expect("active stream exists");
-                let req = q.pop_elevator(head).expect("queue checked non-empty");
+                let req = self.pop_elevator(p, head);
                 self.total -= 1;
+                if self.total == 0 && self.slab.capacity() > RETAIN {
+                    // A burst grew the slab and every slot is now free:
+                    // give the excess back.
+                    self.slab.clear();
+                    self.free.clear();
+                    self.slab.shrink_to(RETAIN);
+                    self.free.shrink_to(RETAIN);
+                }
                 self.idle_until = None;
                 return Decision::Request(req);
             }
@@ -246,25 +346,20 @@ impl Scheduler for Cfq {
             // when a queue's mean seek distance is large — idling on a
             // random-access stream wastes the disk for nothing).
             let seeky = a == ASYNC_STREAM
-                || self
-                    .streams
-                    .get(&a)
-                    .is_some_and(|q| q.seek_mean > self.cfg.seeky_threshold as f64);
+                || pos.is_some_and(|p| self.streams[p].seek_mean > self.cfg.seeky_threshold as f64);
             match self.idle_until {
-                _ if seeky => {
-                    self.streams.remove(&a);
-                    self.active = None;
-                    self.idle_until = None;
-                }
-                None if self.cfg.slice_idle > SimDuration::ZERO => {
+                None if !seeky && self.cfg.slice_idle > SimDuration::ZERO => {
                     let deadline = now + self.cfg.slice_idle;
                     self.idle_until = Some(deadline);
                     return Decision::WaitUntil(deadline);
                 }
-                Some(d) if now < d => return Decision::WaitUntil(d),
+                Some(d) if !seeky && now < d => return Decision::WaitUntil(d),
                 _ => {
-                    // Anticipation over (or disabled): the stream departs.
-                    self.streams.remove(&a);
+                    // Seeky, or anticipation over (or disabled): the
+                    // stream departs.
+                    if let Some(p) = pos {
+                        self.depart(p);
+                    }
                     self.active = None;
                     self.idle_until = None;
                 }
@@ -535,6 +630,45 @@ mod tests {
             matches!(s.dispatch(t, head), Decision::WaitUntil(_)),
             "non-seeky stream should be anticipated"
         );
+    }
+
+    /// Pins a known deviation from Linux: a departing stream forgets its
+    /// seek history (Linux keeps it with the io context). A stream that
+    /// departs after every request measures no seek distance on its
+    /// return, so scattered one-request visits are never judged seeky and
+    /// are each granted the idle window; the same requests queued
+    /// without a departure make the stream seeky.
+    #[test]
+    fn departed_stream_forgets_its_seek_history() {
+        let idle = SimDuration::from_millis(8);
+        let mut s = cfq();
+        let mut t = SimTime::ZERO;
+        for i in 0..4u64 {
+            let lbn = i * 1_000_000;
+            s.add(t, req(1, lbn, 8));
+            let Decision::Request(r) = s.dispatch(t, 0) else {
+                panic!()
+            };
+            assert_eq!(r.lbn, lbn);
+            assert_eq!(
+                s.dispatch(t, r.end()),
+                Decision::WaitUntil(t + idle),
+                "visit {i}: a returning stream is anticipated however far it jumped"
+            );
+            t += idle;
+            assert_eq!(s.dispatch(t, r.end()), Decision::Empty, "stream departs");
+        }
+        // The same scattered requests from a stream that never departs.
+        let mut s = cfq();
+        let t = SimTime::ZERO;
+        for i in 0..4u64 {
+            s.add(t, req(1, i * 1_000_000, 8));
+        }
+        let mut head = 0;
+        while let Decision::Request(r) = s.dispatch(t, head) {
+            head = r.end();
+        }
+        assert!(s.is_empty(), "seeky stream departs without idling");
     }
 
     #[test]

@@ -1004,6 +1004,7 @@ impl Cluster {
                 fstats: FaultStats::default(),
                 pieces_scratch: Vec::new(),
                 subs_scratch: Vec::new(),
+                tracks_spare: Vec::new(),
                 mds_shutdown: false,
                 mds_acts: Vec::new(),
             },
@@ -1241,6 +1242,9 @@ struct ClientSide<'r> {
     /// after warm-up the client path performs no allocation.
     pieces_scratch: Vec<(usize, u64, u64)>,
     subs_scratch: Vec<SubRequest>,
+    /// Emptied `ParentState::subs` tables of completed parents, reused
+    /// by the next parents issued (only filled while a plan is armed).
+    tracks_spare: Vec<Vec<SubTrack>>,
     /// The end-of-run drain started: replicated-MDS timers stop
     /// re-arming so the calendar can run to empty.
     mds_shutdown: bool,
@@ -1397,6 +1401,7 @@ fn coord_event(
             let pending = subs.len();
             let mut tracks: Vec<SubTrack> = Vec::new();
             if sh.faults {
+                tracks = co.tracks_spare.pop().unwrap_or_default();
                 tracks.reserve(pending);
             }
             for (idx, sub) in subs.drain(..).enumerate() {
@@ -1487,6 +1492,11 @@ fn coord_event(
                     co.latency_hist_ms
                         .record(wait.as_millis_f64().round() as u64);
                     debug_assert_eq!(p.proc, proc);
+                    let mut tracks = p.subs;
+                    if tracks.capacity() > 0 {
+                        tracks.clear();
+                        co.tracks_spare.push(tracks);
+                    }
                     if co.use_barrier && co.barrier_mask[proc] {
                         co.proc_state[proc] = ProcState::AtBarrier;
                         maybe_release_barrier(sim, &mut co.proc_state, &co.barrier_mask);

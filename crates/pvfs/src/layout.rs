@@ -147,9 +147,9 @@ impl Layout {
 
     /// [`sub_requests`](Layout::sub_requests) into caller-owned buffers
     /// (both cleared first). `pieces` is scratch for the decomposition;
-    /// `out` receives the classified sub-requests. Only an actual
-    /// fragment allocates (its sibling list) — the common single-piece
-    /// request builds no intermediate vectors at all.
+    /// `out` receives the classified sub-requests. Nothing allocates once
+    /// the buffers are warm: a fragment's sibling list stays inline up to
+    /// [`SIBLING_INLINE`](crate::proto::SIBLING_INLINE) siblings.
     #[allow(clippy::too_many_arguments)]
     pub fn sub_requests_into(
         &self,
@@ -307,7 +307,7 @@ mod tests {
         assert_eq!(bulk.class, ReqClass::Bulk);
         let frag = subs.iter().find(|s| s.len == KB).unwrap();
         match &frag.class {
-            ReqClass::Fragment { siblings } => assert_eq!(siblings, &vec![0u32]),
+            ReqClass::Fragment { siblings } => assert_eq!(siblings.as_slice(), &[0u32]),
             c => panic!("expected fragment, got {c:?}"),
         }
     }

@@ -62,6 +62,6 @@ pub use policy::{
     BitRotTarget, CachePolicy, CacheStats, EntryId, FlushId, FlushOp, LogCorruption, MaintStats,
     Placement, RestartReport, StockPolicy,
 };
-pub use proto::{FileRequest, ReqClass, SubRequest};
+pub use proto::{FileRequest, ReqClass, SiblingList, SubRequest};
 pub use server::{DataServer, DevKind, DiskSched, JobId, ServerConfig};
 pub use workload::{SequentialWorkload, WorkItem, Workload};

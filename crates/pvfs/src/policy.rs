@@ -443,7 +443,9 @@ mod tests {
             server: 0,
             offset: 0,
             len: 1024,
-            class: ReqClass::Fragment { siblings: vec![1] },
+            class: ReqClass::Fragment {
+                siblings: crate::proto::SiblingList::one(1),
+            },
         };
         let placement = p.place(SimTime::ZERO, &sub, 0);
         assert_eq!(

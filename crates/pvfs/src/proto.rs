@@ -3,6 +3,109 @@
 
 use ibridge_device::IoDir;
 use ibridge_localfs::FileHandle;
+use std::fmt;
+
+/// Sibling server ids a [`SiblingList`] stores without heap allocation:
+/// a fragment of an eight-server layout (the paper's testbed) has at
+/// most seven siblings, so every one of them stays inline.
+pub const SIBLING_INLINE: usize = 7;
+
+/// The sibling server ids of a fragment, in decomposition order: stores
+/// up to [`SIBLING_INLINE`] ids in place, and the `spill` vector takes
+/// over (holding *all* ids) past that. Mirrors the block layer's
+/// `TagList`; dereferences to `[u32]`.
+#[derive(Clone)]
+pub struct SiblingList {
+    /// Valid in `..len` while `spill` is empty.
+    inline: [u32; SIBLING_INLINE],
+    len: u8,
+    /// Heap storage after overflow; holds *all* ids then.
+    spill: Vec<u32>,
+}
+
+impl SiblingList {
+    /// An empty list.
+    pub const fn new() -> Self {
+        SiblingList {
+            inline: [0; SIBLING_INLINE],
+            len: 0,
+            spill: Vec::new(),
+        }
+    }
+
+    /// A list holding one server id.
+    pub const fn one(server: u32) -> Self {
+        let mut inline = [0; SIBLING_INLINE];
+        inline[0] = server;
+        SiblingList {
+            inline,
+            len: 1,
+            spill: Vec::new(),
+        }
+    }
+
+    /// Appends a server id, spilling to the heap past the inline capacity.
+    pub fn push(&mut self, server: u32) {
+        if !self.spill.is_empty() {
+            self.spill.push(server);
+        } else if (self.len as usize) < SIBLING_INLINE {
+            self.inline[self.len as usize] = server;
+            self.len += 1;
+        } else {
+            self.spill.reserve(SIBLING_INLINE * 2);
+            self.spill
+                .extend_from_slice(&self.inline[..self.len as usize]);
+            self.spill.push(server);
+            self.len = 0;
+        }
+    }
+
+    /// The ids as a slice.
+    pub fn as_slice(&self) -> &[u32] {
+        if self.spill.is_empty() {
+            &self.inline[..self.len as usize]
+        } else {
+            &self.spill
+        }
+    }
+}
+
+impl Default for SiblingList {
+    fn default() -> Self {
+        SiblingList::new()
+    }
+}
+
+impl std::ops::Deref for SiblingList {
+    type Target = [u32];
+    fn deref(&self) -> &[u32] {
+        self.as_slice()
+    }
+}
+
+impl fmt::Debug for SiblingList {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
+}
+
+impl PartialEq for SiblingList {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for SiblingList {}
+
+impl FromIterator<u32> for SiblingList {
+    fn from_iter<I: IntoIterator<Item = u32>>(iter: I) -> Self {
+        let mut list = SiblingList::new();
+        for server in iter {
+            list.push(server);
+        }
+        list
+    }
+}
 
 /// Classification of a sub-request, decided at the client
 /// (the paper's instrumented `io_datafile_setup_msgpairs()`).
@@ -13,7 +116,7 @@ pub enum ReqClass {
     /// so the data server can evaluate the striping magnification effect.
     Fragment {
         /// Servers serving this fragment's siblings.
-        siblings: Vec<u32>,
+        siblings: SiblingList,
     },
     /// The whole parent request is smaller than the threshold — a
     /// "regular random request" in the paper's terminology.
@@ -107,9 +210,23 @@ mod tests {
 
     #[test]
     fn class_predicates() {
-        assert!(ReqClass::Fragment { siblings: vec![] }.is_fragment());
+        assert!(ReqClass::Fragment {
+            siblings: SiblingList::new()
+        }
+        .is_fragment());
         assert!(ReqClass::Random.is_random());
         assert!(!ReqClass::Bulk.is_fragment());
         assert!(!ReqClass::Bulk.is_random());
+    }
+
+    #[test]
+    fn sibling_list_keeps_order_across_the_spill() {
+        let ids: Vec<u32> = (0..20).rev().collect();
+        for n in [0, 1, SIBLING_INLINE, SIBLING_INLINE + 1, ids.len()] {
+            let list: SiblingList = ids[..n].iter().copied().collect();
+            assert_eq!(list.as_slice(), &ids[..n]);
+        }
+        assert_eq!(SiblingList::one(3).as_slice(), &[3]);
+        assert_eq!(format!("{:?}", SiblingList::one(3)), "[3]");
     }
 }

@@ -6,8 +6,8 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check"
 cargo fmt --check
 
-echo "== cargo clippy -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "== cargo clippy -D warnings (every workspace member)"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
@@ -63,7 +63,7 @@ echo "== trace-export determinism (fork-path merge, any --jobs)"
 cmp /tmp/ibridge_ci_trace_j1.json /tmp/ibridge_ci_trace_j8.json
 python3 -c "import json; d = json.load(open('/tmp/ibridge_ci_trace_j1.json')); assert d['traceEvents'], 'empty trace'"
 
-echo "== bench-diff vs BENCH_pr14.json (rates annotate, allocs/event and peak bytes gate)"
+echo "== bench-diff vs BENCH_pr16.json (rates annotate, allocs/event and peak bytes gate)"
 # Fresh full-suite self-benchmark under the counting allocator, same
 # parameters as the committed baseline. The report lands in /tmp so the
 # working tree stays clean.
@@ -73,13 +73,13 @@ cargo build --release -p ibridge-bench --features count-allocs
 # Wall-clock rates are host-noisy (same-binary reruns drift by tens of
 # percent on shared runners): print the comparison for review, never
 # fail on it.
-./scripts/bench-diff.sh BENCH_pr14.json /tmp/ibridge_ci_bench_fresh.json \
+./scripts/bench-diff.sh BENCH_pr16.json /tmp/ibridge_ci_bench_fresh.json \
   || echo "bench-diff: rate drift is informational only (host noise)"
 # allocs/event and the jobs-1 peak live heap are deterministic, so they
 # gate hard: +10% per experiment. --threshold 101 disables the rate
 # gate (a rate regression is bounded at -100%), leaving allocs/event
 # and peak bytes as the only failure conditions.
-./scripts/bench-diff.sh BENCH_pr14.json /tmp/ibridge_ci_bench_fresh.json \
+./scripts/bench-diff.sh BENCH_pr16.json /tmp/ibridge_ci_bench_fresh.json \
   --threshold 101 --alloc-threshold 10 --peak-threshold 10 >/dev/null
 
 echo "CI OK"

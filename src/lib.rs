@@ -58,8 +58,8 @@ pub mod prelude {
     pub use ibridge_faults::{FaultPlan, FaultStats, RetryConfig};
     pub use ibridge_localfs::FileHandle;
     pub use ibridge_pvfs::{
-        Cluster, ClusterConfig, FileRequest, Layout, ReqClass, RunStats, ServerConfig, StockPolicy,
-        SubRequest, WorkItem, Workload,
+        Cluster, ClusterConfig, FileRequest, Layout, ReqClass, RunStats, ServerConfig, SiblingList,
+        StockPolicy, SubRequest, WorkItem, Workload,
     };
     pub use ibridge_workloads::{
         classify, AppProfile, Btio, CheckpointWorkload, CombinedWorkload, IorMpiIo, MpiIoTest,

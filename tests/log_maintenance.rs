@@ -40,7 +40,9 @@ fn frag(dir: IoDir, offset: u64, len: u64) -> SubRequest {
         server: 0,
         offset,
         len,
-        class: ReqClass::Fragment { siblings: vec![1] },
+        class: ReqClass::Fragment {
+            siblings: SiblingList::one(1),
+        },
     }
 }
 

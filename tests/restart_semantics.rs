@@ -81,7 +81,7 @@ proptest! {
             match kind {
                 // Redirected writes and overwrites, in both classes.
                 0 => {
-                    let class = ReqClass::Fragment { siblings: vec![1] };
+                    let class = ReqClass::Fragment { siblings: SiblingList::one(1) };
                     p.place(SimTime::ZERO, &sub(IoDir::Write, class, offset, n * KB), 900_000_000);
                 }
                 1 => {
@@ -102,7 +102,7 @@ proptest! {
                 }
                 // A read: a hit, or a miss that may admit the range.
                 5 => {
-                    let class = ReqClass::Fragment { siblings: vec![1] };
+                    let class = ReqClass::Fragment { siblings: SiblingList::one(1) };
                     let s = sub(IoDir::Read, class, offset, n * KB);
                     let pl = p.place(SimTime::ZERO, &s, 900_000_000);
                     if pl == (Placement::Disk { admit_after_read: true }) {
